@@ -77,14 +77,24 @@ struct SeqDriver {
 GedSearchResult BranchAndBoundGed(const Graph& g1, const Graph& g2,
                                   const BnbOptions& opt) {
   OTGED_CHECK(g1.NumNodes() <= g2.NumNodes());
-  Searcher searcher(g1, g2);
 
   // Initial upper bound: identity-order greedy matching (always feasible).
   int ub = opt.initial_upper_bound;
   NodeMatching greedy(static_cast<size_t>(g1.NumNodes()));
   for (int i = 0; i < g1.NumNodes(); ++i) greedy[i] = i;
   int greedy_cost = EditCostFromMatching(g1, g2, greedy);
+  if (g2.NumNodes() > internal::kMaxExactNodes) {
+    // Beyond the bitset search state: report the feasible witness,
+    // unproven, like a search that ran out of budget before its root.
+    GedSearchResult res;
+    res.ged = greedy_cost;
+    res.matching = std::move(greedy);
+    res.exact = false;
+    res.expansions = 0;
+    return res;
+  }
   if (ub < 0 || greedy_cost < ub) ub = greedy_cost;
+  Searcher searcher(g1, g2);
 
   // Seed: best_ged = ub + 1 so a path matching ub is still explored; the
   // greedy matching backs the result if nothing better is found.
@@ -101,7 +111,10 @@ GedSearchResult BranchAndBoundGed(const Graph& g1, const Graph& g2,
     res.ged = greedy_cost;
     res.matching = greedy;
   }
-  res.exact = driver.complete;
+  // A completed search proves optimality only if it found a path within
+  // the seed bound; an infeasible hint (below the true GED) leaves
+  // nothing found and the greedy fallback unproven.
+  res.exact = driver.complete && driver.best_ged <= ub;
   res.expansions = driver.expansions;
   return res;
 }

@@ -27,7 +27,11 @@ struct BnbOptions {
 
 /// Exact GED by DFS branch and bound with the same admissible heuristic
 /// as AstarGed. Returns the best result found; `exact` is true iff the
-/// search space was exhausted within budget (result proven optimal).
+/// search space was exhausted within budget and a path within the seed
+/// bound was found (result proven optimal) — a hint below the true GED
+/// leaves the greedy witness unproven. Graphs beyond the exact search's
+/// node limit (64) get the greedy witness with `exact == false` and no
+/// expansions instead of a search.
 /// Runs on the do/undo structure-of-arrays scratch state, exploring the
 /// identical tree in the identical order as the historical copy-based
 /// driver — only cheaper per node.

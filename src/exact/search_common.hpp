@@ -11,7 +11,7 @@
 ///   DfsState     one mutable do/undo state in structure-of-arrays
 ///                layout (flat map1to2/map2to1, incremental label
 ///                remainders and edge counters) for the depth-first
-///                branch-and-bound drivers: Push/Pop are O(deg) via
+///                branch-and-bound driver: Push/Pop are O(deg) via
 ///                bit-parallel neighbor masks and the heuristic is O(1),
 ///                against the O(n + m) recompute SearchState pays per
 ///                Child.
@@ -32,8 +32,12 @@
 
 namespace otged::internal {
 
+/// Largest graph the exact searches accept: G2 nodes are tracked in one
+/// 64-bit `used` mask and per-node neighbor bitsets.
+inline constexpr int kMaxExactNodes = 64;
+
 /// Static context: node mapping order, compacted labels, and bitset
-/// adjacency (n <= 64, checked) for the do/undo fast path.
+/// adjacency (n <= kMaxExactNodes, checked) for the do/undo fast path.
 struct SearchContext {
   const Graph& g1;
   const Graph& g2;
@@ -47,7 +51,8 @@ struct SearchContext {
     n1 = g1.NumNodes();
     n2 = g2.NumNodes();
     OTGED_CHECK(n1 <= n2);
-    OTGED_CHECK_MSG(n2 <= 64, "exact search supports up to 64 nodes");
+    OTGED_CHECK_MSG(n2 <= kMaxExactNodes,
+                    "exact search supports up to 64 nodes");
     std::map<Label, int> remap;
     auto compact = [&](const Graph& g, std::vector<int>* out) {
       out->resize(g.NumNodes());
@@ -80,9 +85,9 @@ struct SearchContext {
 };
 
 /// Search state over partial mappings. `used` is a bitmask over G2 nodes,
-/// which limits exact search to n2 <= 64 (ample: exact GED beyond ~16
-/// nodes is intractable anyway). `map2to1` mirrors `map1to2` so the cost
-/// delta never scans for a preimage.
+/// which limits exact search to n2 <= kMaxExactNodes (ample: exact GED
+/// beyond ~16 nodes is intractable anyway). `map2to1` mirrors `map1to2`
+/// so the cost delta never scans for a preimage.
 struct SearchState {
   std::vector<int> map1to2;
   std::vector<int> map2to1;
@@ -94,7 +99,7 @@ struct SearchState {
 };
 
 /// Mutable depth-first state in structure-of-arrays layout. One DfsState
-/// serves a whole DFS: the branch-and-bound drivers Push/Pop along the
+/// serves a whole DFS: the branch-and-bound driver pushes and pops along the
 /// current path instead of copying states, and every quantity the
 /// admissible heuristic needs (label remainders, remaining-edge counts)
 /// is maintained incrementally. `path_v`/`path_delta` are the undo log.

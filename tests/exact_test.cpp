@@ -3,11 +3,40 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
+#include "exact/search_common.hpp"
 #include "graph/generator.hpp"
 #include "heuristics/bipartite.hpp"
 
 namespace otged {
 namespace {
+
+/// One graph drawn from a family indexed in [0, 4): labeled ER,
+/// unlabeled ER, sparse power-law, AIDS-like molecules.
+Graph SampleGraph(int family, Rng* rng) {
+  switch (family) {
+    case 0:
+      return RandomConnectedGraph(rng->UniformInt(3, 8),
+                                  rng->UniformInt(0, 3), 5, rng);
+    case 1:
+      return RandomConnectedGraph(rng->UniformInt(3, 8),
+                                  rng->UniformInt(0, 3), 1, rng);
+    case 2:
+      return PowerLawGraph(rng->UniformInt(4, 8), 1, rng);
+    default:
+      return AidsLikeGraph(rng, 4, 8);
+  }
+}
+
+/// A pair ordered so n1 <= n2, as every exact search requires.
+std::pair<Graph, Graph> SamplePair(int trial, Rng* rng) {
+  Graph a = SampleGraph(trial % 4, rng);
+  Graph b = SampleGraph((trial + 1 + trial / 4) % 4, rng);
+  if (a.NumNodes() > b.NumNodes()) std::swap(a, b);
+  return {std::move(a), std::move(b)};
+}
 
 TEST(AstarTest, IdenticalGraphsGiveZero) {
   Rng rng(1);
@@ -168,6 +197,84 @@ TEST(BnbTest, BudgetBoundaryIsInclusive) {
         << "trial " << trial;
   }
   EXPECT_GT(boundary_cases, 0);
+}
+
+TEST(BnbTest, InfeasibleHintIsNotExact) {
+  // A hint below the true GED leaves the seeded search nothing to find:
+  // it completes, but the greedy witness it falls back to is unproven.
+  Rng rng(12);
+  int probed = 0;
+  for (int trial = 0; trial < 40; ++trial) {
+    Graph g1 = AidsLikeGraph(&rng, 4, 7);
+    Graph g2 = AidsLikeGraph(&rng, 6, 9);
+    if (g1.NumNodes() > g2.NumNodes()) std::swap(g1, g2);
+    const GedSearchResult full = BranchAndBoundGed(g1, g2);
+    ASSERT_TRUE(full.exact);
+    if (full.ged == 0) continue;
+    ++probed;
+    BnbOptions opt;
+    opt.initial_upper_bound = full.ged - 1;
+    const GedSearchResult hinted = BranchAndBoundGed(g1, g2, opt);
+    EXPECT_FALSE(hinted.exact) << "trial " << trial;
+    EXPECT_GE(hinted.ged, full.ged) << "trial " << trial;
+    EXPECT_EQ(EditCostFromMatching(g1, g2, hinted.matching), hinted.ged)
+        << "trial " << trial;
+    // A feasible hint (the true GED) still proves the optimum.
+    opt.initial_upper_bound = full.ged;
+    const GedSearchResult tight = BranchAndBoundGed(g1, g2, opt);
+    EXPECT_TRUE(tight.exact) << "trial " << trial;
+    EXPECT_EQ(tight.ged, full.ged) << "trial " << trial;
+  }
+  EXPECT_GT(probed, 0);
+}
+
+// The SoA do/undo scratch must agree with the recompute-from-scratch
+// reference at every step: DeltaFast vs Delta, the incremental O(1)
+// heuristic vs the O(n + m) recompute, and Push/Pop as exact inverses.
+TEST(SearchScratchTest, MatchesRecomputeReferenceOnRandomWalks) {
+  Rng rng(777);
+  for (int trial = 0; trial < 200; ++trial) {
+    auto [g1, g2] = SamplePair(trial, &rng);
+    internal::Searcher searcher(g1, g2);
+    const int n1 = searcher.ctx().n1, n2 = searcher.ctx().n2;
+    internal::SearchState s = searcher.Root();
+    internal::DfsState d = searcher.MakeDfs();
+    const internal::DfsState fresh = searcher.MakeDfs();
+    EXPECT_EQ(searcher.HeuristicOf(d), s.h) << "trial " << trial;
+    for (int depth = 0; depth < n1; ++depth) {
+      std::vector<int> free_v;
+      for (int v = 0; v < n2; ++v)
+        if (!(s.used >> v & 1)) free_v.push_back(v);
+      for (int v : free_v)
+        ASSERT_EQ(searcher.DeltaFast(d, v), searcher.Delta(s, v))
+            << "trial " << trial << " depth " << depth << " v " << v;
+      const int v = free_v[static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int>(free_v.size()) - 1))];
+      searcher.Push(&d, v, searcher.DeltaFast(d, v));
+      s = searcher.Child(s, v);
+      ASSERT_EQ(d.g, s.g);
+      ASSERT_EQ(d.used, s.used);
+      ASSERT_EQ(searcher.HeuristicOf(d), s.h)
+          << "trial " << trial << " depth " << depth;
+    }
+    if (n1 > 0) {
+      // Leaves: the O(1) heuristic degenerates to the completion cost.
+      ASSERT_EQ(searcher.HeuristicOf(d), searcher.CompletionCost(s));
+      ASSERT_EQ(searcher.ExtractMatching(d), searcher.ExtractMatching(s));
+    }
+    for (int depth = 0; depth < n1; ++depth) searcher.Pop(&d);
+    // Pop is an exact inverse of Push: the state returns to the root.
+    EXPECT_EQ(d.g, 0);
+    EXPECT_EQ(d.used, 0u);
+    EXPECT_EQ(d.depth, 0);
+    EXPECT_EQ(d.surplus, fresh.surplus);
+    EXPECT_EQ(d.m1_rem, fresh.m1_rem);
+    EXPECT_EQ(d.m2_rem, fresh.m2_rem);
+    EXPECT_EQ(d.map1to2, fresh.map1to2);
+    EXPECT_EQ(d.map2to1, fresh.map2to1);
+    EXPECT_EQ(d.c1_rem, fresh.c1_rem);
+    EXPECT_EQ(d.c2_rem, fresh.c2_rem);
+  }
 }
 
 TEST(ExactPropertyTest, GedIsSymmetricUnderPairSwap) {

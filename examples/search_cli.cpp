@@ -16,11 +16,11 @@
 ///
 /// Metrics (`search_cli metrics [dataset] [count] [queries] [threads]`):
 /// resets the process metrics registry, serves a range + top-k workload,
-/// reconciles the registry's cascade AND index counters against the
-/// summed QueryStats of the same run (they must match exactly, or the
-/// command exits 1), then exports the registry twice — Prometheus text
-/// after the `--- prometheus ---` marker, JSON after the `--- json ---`
-/// marker.
+/// reconciles every per-query counter of the library's kStatsCounters
+/// table against the summed QueryStats of the same run (they must match
+/// exactly, or the command exits 1), then exports the registry twice —
+/// Prometheus text after the `--- prometheus ---` marker, JSON after the
+/// `--- json ---` marker.
 ///
 /// REPL (`search_cli repl [threads]`): drives one dynamic GraphStore +
 /// QueryEngine with commands from stdin, exercising mutation, persistence
@@ -47,6 +47,7 @@
 
 #include "graph/graph_io.hpp"
 #include "search/query_engine.hpp"
+#include "search/stats_metrics.hpp"
 #include "search/store_serialize.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/metrics.hpp"
@@ -154,48 +155,20 @@ int RunMetrics(const std::string& dataset, int count, int num_queries,
               store.Size(), dataset.c_str(), engine.num_threads(),
               num_queries, num_queries);
 
-  CascadeStats total;
-  IndexStats itotal;
+  QueryStats sum;
   for (int q = 0; q < num_queries; ++q) {
     Graph query = MakeQueryGraph(dataset, &rng);
     RangeResult range = engine.Range(query, 3);
-    total.Merge(range.stats.cascade);
-    itotal.Merge(range.stats.index);
+    sum.cascade.Merge(range.stats.cascade);
+    sum.index.Merge(range.stats.index);
     TopKResult topk = engine.TopK(query, 5);
-    total.Merge(topk.stats.cascade);
-    itotal.Merge(topk.stats.index);
+    sum.cascade.Merge(topk.stats.cascade);
+    sum.index.Merge(topk.stats.index);
   }
+  const CascadeStats& total = sum.cascade;
+  const IndexStats& itotal = sum.index;
 
   const telemetry::MetricsSnapshot snap = telemetry::Registry().Snapshot();
-  struct {
-    const char* counter;
-    long expected;
-  } rows[] = {
-      {"otged_cascade_candidates_total", total.candidates},
-      {"otged_cascade_pruned_total{tier=\"index\"}", total.pruned_index},
-      {"otged_cascade_pruned_total{tier=\"invariant\"}",
-       total.pruned_invariant},
-      {"otged_cascade_passed_total{tier=\"invariant\"}",
-       total.passed_invariant},
-      {"otged_cascade_pruned_total{tier=\"branch\"}", total.pruned_branch},
-      {"otged_cascade_decided_total{tier=\"heuristic\"}",
-       total.decided_heuristic},
-      {"otged_cascade_decided_total{tier=\"ot\"}", total.decided_ot},
-      {"otged_cascade_decided_total{tier=\"exact\"}", total.decided_exact},
-      {"otged_cascade_cache_hits_total", total.cache_hits},
-      {"otged_cascade_ot_calls_total", total.ot_calls},
-      {"otged_cascade_exact_calls_total", total.exact_calls},
-      {"otged_cascade_exact_incomplete_total", total.exact_incomplete},
-      // The index counters reconcile against the summed per-query
-      // IndexStats the same way.
-      {"otged_index_candidates_total", itotal.candidates},
-      {"otged_index_pruned_total{level=\"partition\"}",
-       itotal.partition_pruned},
-      {"otged_index_pruned_total{level=\"label\"}", itotal.label_pruned},
-      {"otged_index_pruned_total{level=\"vptree\"}", itotal.vptree_pruned},
-      {"otged_index_partitions_opened_total", itotal.partitions_opened},
-      {"otged_index_vp_nodes_visited_total", itotal.vp_nodes_visited},
-  };
   bool ok = total.SettledTotal() == total.candidates;
   std::printf("\nreconciliation (registry counter vs summed QueryStats):\n");
   std::printf("  settled-by-some-tier %ld vs candidates %ld  [%s]\n",
@@ -207,15 +180,13 @@ int RunMetrics(const std::string& dataset, int count, int num_queries,
   std::printf("  index scanned %ld vs candidates+pruned %ld  [%s]\n",
               itotal.scanned, itotal.candidates + itotal.PrunedTotal(),
               index_ok ? "PASS" : "FAIL");
-  for (const auto& row : rows) {
-    // Absent counter == never incremented: a call site registers its
-    // metric on first increment, so a workload with e.g. zero cache hits
-    // legitimately leaves that counter unregistered.
-    const long got = snap.CounterValue(row.counter, 0);
-    const bool match = got == row.expected;
+  for (const StatsCounter& row : kStatsCounters) {
+    const long got = snap.CounterValue(row.name);
+    const long expected = row.ValueIn(sum);
+    const bool match = got == expected;
     ok = ok && match;
-    std::printf("  %-52s %8ld vs %8ld  [%s]\n", row.counter, got,
-                row.expected, match ? "PASS" : "FAIL");
+    std::printf("  %-52s %8ld vs %8ld  [%s]\n", row.name, got, expected,
+                match ? "PASS" : "FAIL");
   }
 
   std::printf("\n--- prometheus ---\n%s",

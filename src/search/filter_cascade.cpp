@@ -36,71 +36,6 @@ double CascadeStats::PrunedBeforeSolvers() const {
 
 FilterCascade::FilterCascade(const CascadeOptions& opt) : opt_(opt) {}
 
-#if OTGED_TELEMETRY_COMPILED
-namespace {
-
-/// All cascade metric handles, resolved once. A plain OTGED_COUNT macro
-/// would pin the *first* name it sees per call site, so tier-indexed
-/// metrics are looked up here instead.
-struct CascadeMetrics {
-  telemetry::Counter* candidates;
-  telemetry::Counter* pruned[2];     ///< tier 0 (invariant), tier 1 (branch)
-  telemetry::Counter* passed_invariant;
-  telemetry::Counter* decided[3];    ///< heuristic, ot, exact
-  telemetry::Counter* escalated[4];  ///< entered branch/heuristic/ot/exact
-  telemetry::Counter* ot_calls;
-  telemetry::Counter* exact_calls;
-  telemetry::Counter* exact_incomplete;
-  telemetry::Histogram* tier_latency[5];
-};
-
-const CascadeMetrics& Metrics() {
-  static const CascadeMetrics* m = [] {
-    auto* mm = new CascadeMetrics;
-    auto& reg = telemetry::Registry();
-    static const char* kTier[5] = {"invariant", "branch", "heuristic", "ot",
-                                   "exact"};
-    mm->candidates =
-        &reg.GetCounter("otged_cascade_candidates_total",
-                        "candidate pairs fed into the filter cascade");
-    for (int t : {0, 1})
-      mm->pruned[t] = &reg.GetCounter(
-          std::string("otged_cascade_pruned_total{tier=\"") + kTier[t] +
-              "\"}",
-          "pairs dismissed by an admissible lower bound at this tier");
-    mm->passed_invariant = &reg.GetCounter(
-        "otged_cascade_passed_total{tier=\"invariant\"}",
-        "pairs settled by the tier-0 identity fast path (GED == 0)");
-    for (int t : {2, 3, 4})
-      mm->decided[t - 2] = &reg.GetCounter(
-          std::string("otged_cascade_decided_total{tier=\"") + kTier[t] +
-              "\"}",
-          "pairs whose membership or distance this tier settled");
-    for (int t : {1, 2, 3, 4})
-      mm->escalated[t - 1] = &reg.GetCounter(
-          std::string("otged_cascade_escalated_total{to=\"") + kTier[t] +
-              "\"}",
-          "pairs the previous tiers could not settle");
-    mm->ot_calls = &reg.GetCounter("otged_cascade_ot_calls_total",
-                                   "GEDGW solver invocations");
-    mm->exact_calls = &reg.GetCounter("otged_cascade_exact_calls_total",
-                                      "branch-and-bound invocations");
-    mm->exact_incomplete =
-        &reg.GetCounter("otged_cascade_exact_incomplete_total",
-                        "exact runs that exhausted their visit budget");
-    for (int t = 0; t < 5; ++t)
-      mm->tier_latency[t] = &reg.GetHistogram(
-          std::string("otged_cascade_tier_latency_us{tier=\"") + kTier[t] +
-              "\"}",
-          "wall time spent inside this tier per pair that entered it");
-    return mm;
-  }();
-  return *m;
-}
-
-}  // namespace
-#endif  // OTGED_TELEMETRY_COMPILED
-
 CascadeVerdict FilterCascade::BoundedDistance(const Graph& query,
                                               const GraphInvariants& qi,
                                               const Graph& g,
@@ -110,67 +45,42 @@ CascadeVerdict FilterCascade::BoundedDistance(const Graph& query,
                                               CascadeProbe* probe) const {
   OTGED_DCHECK(stats != nullptr);
   stats->candidates++;
-#if OTGED_TELEMETRY_COMPILED
-  const bool metered = telemetry::Enabled();
-  if (metered) Metrics().candidates->Inc();
-#else
-  constexpr bool metered = false;
-#endif
-  const bool timed = probe != nullptr || metered;
-  double tier_us[5] = {0, 0, 0, 0, 0};
-  double t_prev = timed ? telemetry::NowUs() : 0.0;
+  if (probe != nullptr) *probe = CascadeProbe{};
+  double t_prev = probe != nullptr ? telemetry::NowUs() : 0.0;
   // Charges the wall time since the previous mark to `tier`.
   auto mark = [&](CascadeTier tier) {
-    if (!timed) return;
+    if (probe == nullptr) return;
     const double now = telemetry::NowUs();
-    tier_us[static_cast<int>(tier)] += now - t_prev;
+    probe->tier_us[static_cast<int>(tier)] += now - t_prev;
     t_prev = now;
   };
-  int best_lb = -1, best_ub = -1;
-  long exact_expansions = 0;
-  auto finish = [&](const CascadeVerdict& v) {
+  CascadeVerdict v;
+  int lb = InvariantLowerBound(qi, gi);
+  int ub = -1;  // best feasible upper bound so far (-1: none computed)
+  // Every exit goes through here: stamps the deciding tier, fills the probe.
+  auto settle = [&](CascadeTier tier) {
+    v.tier = tier;
+    mark(tier);
     if (probe != nullptr) {
-      probe->lb = best_lb;
-      probe->ub = best_ub;
-      probe->exact_expansions = exact_expansions;
-      std::copy(tier_us, tier_us + 5, probe->tier_us);
+      probe->lb = lb;
+      probe->ub = ub;
     }
-#if OTGED_TELEMETRY_COMPILED
-    if (metered) {
-      for (int t = 0; t < 5; ++t)
-        if (tier_us[t] > 0.0)
-          Metrics().tier_latency[t]->Record(std::lround(tier_us[t]));
-    }
-#endif
     return v;
   };
-  CascadeVerdict v;
 
   // --- tier 0: invariants only, no adjacency access --------------------
-  int lb = InvariantLowerBound(qi, gi);
-  best_lb = lb;
   if (lb > tau) {
     stats->pruned_invariant++;
-#if OTGED_TELEMETRY_COMPILED
-    if (metered) Metrics().pruned[0]->Inc();
-#endif
-    v.tier = CascadeTier::kInvariant;
-    mark(CascadeTier::kInvariant);
-    return finish(v);
+    return settle(CascadeTier::kInvariant);
   }
   if (lb == 0 && qi.wl_hash == gi.wl_hash && query == g) {
     // Identity fast path (node-identity equality implies GED == 0).
     stats->passed_invariant++;
-#if OTGED_TELEMETRY_COMPILED
-    if (metered) Metrics().passed_invariant->Inc();
-#endif
     v.within = true;
     v.ged = 0;
     v.exact_distance = true;
-    v.tier = CascadeTier::kInvariant;
-    best_ub = 0;
-    mark(CascadeTier::kInvariant);
-    return finish(v);
+    ub = 0;
+    return settle(CascadeTier::kInvariant);
   }
   mark(CascadeTier::kInvariant);
 
@@ -178,119 +88,65 @@ CascadeVerdict FilterCascade::BoundedDistance(const Graph& query,
 
   // --- tier 1: BRANCH bipartite lower bound ----------------------------
   if (opt_.use_branch_bound) {
-#if OTGED_TELEMETRY_COMPILED
-    if (metered) Metrics().escalated[0]->Inc();
-#endif
     lb = std::max(lb, static_cast<int>(
                           std::ceil(BranchLowerBound(*g1, *g2) - 1e-9)));
-    best_lb = lb;
     if (lb > tau) {
       stats->pruned_branch++;
-#if OTGED_TELEMETRY_COMPILED
-      if (metered) Metrics().pruned[1]->Inc();
-#endif
-      v.tier = CascadeTier::kBranch;
-      mark(CascadeTier::kBranch);
-      return finish(v);
+      return settle(CascadeTier::kBranch);
     }
     mark(CascadeTier::kBranch);
   }
 
   // --- tier 2: Classic heuristic upper bound ---------------------------
-#if OTGED_TELEMETRY_COMPILED
-  if (metered) Metrics().escalated[1]->Inc();
-#endif
-  int ub = ClassicGed(*g1, *g2).ged;
-  best_ub = ub;
+  ub = ClassicGed(*g1, *g2).ged;
   if (lb == ub) {
     // Certificate: admissible LB meets feasible UB, distance is exact.
     stats->decided_heuristic++;
-#if OTGED_TELEMETRY_COMPILED
-    if (metered) Metrics().decided[0]->Inc();
-#endif
     v.within = ub <= tau;
     v.ged = ub;
     v.exact_distance = true;
-    v.tier = CascadeTier::kHeuristic;
-    mark(CascadeTier::kHeuristic);
-    return finish(v);
+    return settle(CascadeTier::kHeuristic);
   }
   if (!need_distance && ub <= tau) {
     // The feasible edit path already witnesses membership.
     stats->decided_heuristic++;
-#if OTGED_TELEMETRY_COMPILED
-    if (metered) Metrics().decided[0]->Inc();
-#endif
     v.within = true;
     v.ged = ub;
-    v.tier = CascadeTier::kHeuristic;
-    mark(CascadeTier::kHeuristic);
-    return finish(v);
+    return settle(CascadeTier::kHeuristic);
   }
   mark(CascadeTier::kHeuristic);
 
   // --- tier 3: OT verify (GEDGW coupling -> k-best edit path) ----------
   if (opt_.use_ot_verify) {
     stats->ot_calls++;
-#if OTGED_TELEMETRY_COMPILED
-    if (metered) {
-      Metrics().escalated[2]->Inc();
-      Metrics().ot_calls->Inc();
-    }
-#endif
     GedgwConfig gw_cfg;
     gw_cfg.cg_iters = opt_.gw_iters;
     GedgwSolver gw(gw_cfg);
     Prediction pred = gw.Predict(*g1, *g2);
     GepResult gep = KBestGepSearch(*g1, *g2, pred.coupling, opt_.kbest_k);
     ub = std::min(ub, gep.ged);
-    best_ub = ub;
     if (lb == ub) {
       stats->decided_ot++;
-#if OTGED_TELEMETRY_COMPILED
-      if (metered) Metrics().decided[1]->Inc();
-#endif
       v.within = ub <= tau;
       v.ged = ub;
       v.exact_distance = true;
-      v.tier = CascadeTier::kOt;
-      mark(CascadeTier::kOt);
-      return finish(v);
+      return settle(CascadeTier::kOt);
     }
     if (!need_distance && ub <= tau) {
       stats->decided_ot++;
-#if OTGED_TELEMETRY_COMPILED
-      if (metered) Metrics().decided[1]->Inc();
-#endif
       v.within = true;
       v.ged = ub;
-      v.tier = CascadeTier::kOt;
-      mark(CascadeTier::kOt);
-      return finish(v);
+      return settle(CascadeTier::kOt);
     }
     mark(CascadeTier::kOt);
   }
 
   // --- tier 4: exact verify (branch and bound, seeded with best UB) ----
   stats->exact_calls++;
-#if OTGED_TELEMETRY_COMPILED
-  if (metered) {
-    Metrics().escalated[3]->Inc();
-    Metrics().exact_calls->Inc();
-  }
-#endif
   GedSearchResult exact = ExactSearch(*g1, *g2, opt_.exact_budget, ub, stats);
-  exact_expansions = exact.expansions;
-  if (!exact.exact) {
-    stats->exact_incomplete++;
-#if OTGED_TELEMETRY_COMPILED
-    if (metered) Metrics().exact_incomplete->Inc();
-#endif
-  }
+  if (probe != nullptr) probe->exact_expansions = exact.expansions;
+  if (!exact.exact) stats->exact_incomplete++;
   stats->decided_exact++;
-#if OTGED_TELEMETRY_COMPILED
-  if (metered) Metrics().decided[2]->Inc();
-#endif
   // On budget exhaustion `exact.ged` is only a feasible upper bound; the
   // only valid dismissal evidence is an admissible LB > tau, and here
   // lb <= tau. Keep the candidate (no false dismissals, ever) and flag
@@ -298,10 +154,8 @@ CascadeVerdict FilterCascade::BoundedDistance(const Graph& query,
   v.within = exact.ged <= tau || !exact.exact;
   v.ged = exact.ged;
   v.exact_distance = exact.exact;
-  v.tier = CascadeTier::kExact;
-  best_ub = exact.ged;
-  mark(CascadeTier::kExact);
-  return finish(v);
+  ub = exact.ged;
+  return settle(CascadeTier::kExact);
 }
 
 GedSearchResult FilterCascade::ExactSearch(const Graph& g1, const Graph& g2,

@@ -1,7 +1,6 @@
 #include "search/index/graph_index.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "telemetry/metrics.hpp"
 
@@ -9,71 +8,9 @@ namespace otged {
 
 namespace {
 
-#if OTGED_TELEMETRY_COMPILED
-/// Index metric handles, resolved once (labeled names cannot go through
-/// the one-name-per-call-site OTGED_COUNT macros).
-struct IndexMetrics {
-  telemetry::Counter* queries[2];  ///< kind = range, topk
-  telemetry::Counter* candidates;
-  telemetry::Counter* pruned[3];  ///< level = partition, label, vptree
-  telemetry::Counter* partitions_opened;
-  telemetry::Counter* vp_nodes_visited;
-  telemetry::Counter* applies;
-  telemetry::Counter* rebuilds;
-  telemetry::Gauge* size;
-  telemetry::Gauge* partitions;
-  telemetry::Gauge* vp_overlay;
-  telemetry::Histogram* level_latency[3];
-};
-
-const IndexMetrics& Metrics() {
-  static const IndexMetrics* m = [] {
-    auto* mm = new IndexMetrics;
-    auto& reg = telemetry::Registry();
-    static const char* kKind[2] = {"range", "topk"};
-    static const char* kLevel[3] = {"partition", "label", "vptree"};
-    for (int k : {0, 1})
-      mm->queries[k] = &reg.GetCounter(
-          std::string("otged_index_queries_total{kind=\"") + kKind[k] +
-              "\"}",
-          "queries answered through the candidate-generation index");
-    mm->candidates =
-        &reg.GetCounter("otged_index_candidates_total",
-                        "graphs the index handed to the filter cascade");
-    for (int l : {0, 1, 2})
-      mm->pruned[l] = &reg.GetCounter(
-          std::string("otged_index_pruned_total{level=\"") + kLevel[l] +
-              "\"}",
-          "graphs dismissed by this index level's admissible bound");
-    mm->partitions_opened =
-        &reg.GetCounter("otged_index_partitions_opened_total",
-                        "partitions that survived the signature screen");
-    mm->vp_nodes_visited =
-        &reg.GetCounter("otged_index_vp_nodes_visited_total",
-                        "metric evaluations inside VP-tree traversals");
-    mm->applies = &reg.GetCounter(
-        "otged_index_applies_total",
-        "incremental snapshot diffs applied to the cached view");
-    mm->rebuilds = &reg.GetCounter(
-        "otged_index_rebuilds_total",
-        "full VP-tree builds (initial, overlay overflow, or compaction)");
-    mm->size =
-        &reg.GetGauge("otged_index_size", "graphs in the current view");
-    mm->partitions = &reg.GetGauge("otged_index_partitions",
-                                   "partitions in the current view");
-    mm->vp_overlay = &reg.GetGauge(
-        "otged_index_vp_overlay",
-        "VP-tree overlay entries (delta inserts + dead ids)");
-    for (int l : {0, 1, 2})
-      mm->level_latency[l] = &reg.GetHistogram(
-          std::string("otged_index_level_latency_us{level=\"") + kLevel[l] +
-              "\"}",
-          "wall time spent in this index level per query");
-    return mm;
-  }();
-  return *m;
-}
-#endif  // OTGED_TELEMETRY_COMPILED
+constexpr const char* kRebuildsName = "otged_index_rebuilds_total";
+constexpr const char* kRebuildsHelp =
+    "full VP-tree builds (initial, overlay overflow, or compaction)";
 
 /// Run-length encodes an ascending label multiset.
 std::vector<std::pair<Label, int>> RleLabels(
@@ -116,18 +53,6 @@ void IndexView::RangeCandidates(const GraphInvariants& qi, int tau,
   const double t2 = telemetry::NowUs();
   stats->partition_us += t1 - t0;
   stats->label_us += t2 - t1;
-#if OTGED_TELEMETRY_COMPILED
-  if (telemetry::Enabled()) {
-    const auto& m = Metrics();
-    m.queries[0]->Inc();
-    m.candidates->Inc(static_cast<long>(out_ids->size() - first));
-    m.pruned[0]->Inc(stats->partition_pruned);
-    m.pruned[1]->Inc(stats->label_pruned);
-    m.partitions_opened->Inc(stats->partitions_opened);
-    m.level_latency[0]->Record(std::lround(t1 - t0));
-    m.level_latency[1]->Record(std::lround(t2 - t1));
-  }
-#endif
 }
 
 void IndexView::TopKSeeds(const GraphInvariants& qi, size_t k,
@@ -145,14 +70,6 @@ void IndexView::TopKSeeds(const GraphInvariants& qi, size_t k,
   const double t1 = telemetry::NowUs();
   stats->vp_nodes_visited += visited;
   stats->vptree_us += t1 - t0;
-#if OTGED_TELEMETRY_COMPILED
-  if (telemetry::Enabled()) {
-    const auto& m = Metrics();
-    m.queries[1]->Inc();
-    m.vp_nodes_visited->Inc(visited);
-    m.level_latency[2]->Record(std::lround(t1 - t0));
-  }
-#endif
 }
 
 void IndexView::LbRangeCandidates(const GraphInvariants& qi, int tau,
@@ -177,15 +94,6 @@ void IndexView::LbRangeCandidates(const GraphInvariants& qi, int tau,
   stats->vptree_pruned += static_cast<long>(size_) - emitted;
   stats->vp_nodes_visited += visited;
   stats->vptree_us += t1 - t0;
-#if OTGED_TELEMETRY_COMPILED
-  if (telemetry::Enabled()) {
-    const auto& m = Metrics();
-    m.candidates->Inc(emitted);
-    m.pruned[2]->Inc(static_cast<long>(size_) - emitted);
-    m.vp_nodes_visited->Inc(visited);
-    m.level_latency[2]->Record(std::lround(t1 - t0));
-  }
-#endif
 }
 
 uint64_t IndexView::StructuralDigest() const {
@@ -300,9 +208,7 @@ std::shared_ptr<const IndexView> GraphIndex::BuildFull(
   view->partitions_ =
       BuildPartitionMap(snap->entry_ptrs(), opt_.wl_prefix_bits);
   view->vp_ = VpTree::Build(snap->entry_ptrs());
-#if OTGED_TELEMETRY_COMPILED
-  if (telemetry::Enabled()) Metrics().rebuilds->Inc();
-#endif
+  OTGED_COUNT(kRebuildsName, kRebuildsHelp);
   return view;
 }
 
@@ -382,13 +288,10 @@ std::shared_ptr<const IndexView> GraphIndex::Advance(
     view->vp_ = VpTree::Build(snap->entry_ptrs());
     view->delta_.clear();
     view->dead_.clear();
-#if OTGED_TELEMETRY_COMPILED
-    if (telemetry::Enabled()) Metrics().rebuilds->Inc();
-#endif
+    OTGED_COUNT(kRebuildsName, kRebuildsHelp);
   }
-#if OTGED_TELEMETRY_COMPILED
-  if (telemetry::Enabled()) Metrics().applies->Inc();
-#endif
+  OTGED_COUNT("otged_index_applies_total",
+              "incremental snapshot diffs applied to the cached view");
   return view;
 }
 
@@ -396,15 +299,14 @@ void GraphIndex::Install(const std::shared_ptr<const StoreSnapshot>& snap,
                          std::shared_ptr<const IndexView> view) {
   base_ = snap;
   view_ = std::move(view);
-#if OTGED_TELEMETRY_COMPILED
-  if (telemetry::Enabled()) {
-    const auto& m = Metrics();
-    m.size->Set(view_->size_);
-    m.partitions->Set(static_cast<long>(view_->partitions_.size()));
-    m.vp_overlay->Set(
-        static_cast<long>(view_->delta_.size() + view_->dead_.size()));
-  }
-#endif
+  OTGED_GAUGE_SET("otged_index_size", "graphs in the current view",
+                  view_->size_);
+  OTGED_GAUGE_SET("otged_index_partitions", "partitions in the current view",
+                  static_cast<long>(view_->partitions_.size()));
+  OTGED_GAUGE_SET(
+      "otged_index_vp_overlay",
+      "VP-tree overlay entries (delta inserts + dead ids)",
+      static_cast<long>(view_->delta_.size() + view_->dead_.size()));
 }
 
 }  // namespace otged

@@ -12,6 +12,7 @@
 
 #include "graph/graph_io.hpp"
 #include "heuristics/bipartite.hpp"
+#include "search/stats_metrics.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
 
@@ -138,45 +139,27 @@ CascadeVerdict QueryEngine::EvalPair(const Graph& query,
                                      int tau, bool need_distance,
                                      CascadeStats* stats) const {
   const int gid = snap.id(slot);
-  const bool tracing =
-      OTGED_TELEMETRY_ON() && telemetry::GlobalTrace().enabled();
+  const bool metered = telemetry::Enabled();
+  const bool tracing = metered && telemetry::GlobalTrace().enabled();
   const double t0 = tracing ? telemetry::NowUs() : 0.0;
-  if (use_cache_) {
-    if (std::optional<int> ged = cache_.Lookup(qc.fp, gid)) {
-      stats->candidates++;
-      stats->cache_hits++;
-      // Mirror both stats into the global counters: a cache hit is a
-      // candidate the cascade never saw, so the cascade's own candidate
-      // counter must be topped up here for totals to reconcile.
-      OTGED_COUNT("otged_cascade_candidates_total",
-                  "candidate pairs fed into the filter cascade");
-      OTGED_COUNT("otged_cascade_cache_hits_total",
-                  "candidate pairs answered from the bound cache");
-      CascadeVerdict v;
-      v.within = *ged <= tau;
-      v.ged = *ged;
-      v.exact_distance = true;
-      v.tier = CascadeTier::kCache;
-      if (tracing) {
-        telemetry::TraceEvent e;
-        e.query_id = qc.trace_id;
-        e.graph_id = gid;
-        e.tier = static_cast<int>(v.tier);
-        e.ged = v.ged;
-        e.within = v.within;
-        e.exact = true;
-        e.cache_hit = true;
-        e.total_us = telemetry::NowUs() - t0;
-        telemetry::GlobalTrace().Record(e);
-      }
-      return v;
-    }
+  CascadeVerdict v;
+  CascadeProbe probe;  // stays default on a cache hit: no tier entered
+  std::optional<int> cached;
+  if (use_cache_) cached = cache_.Lookup(qc.fp, gid);
+  if (cached) {
+    stats->candidates++;
+    stats->cache_hits++;
+    v.within = *cached <= tau;
+    v.ged = *cached;
+    v.exact_distance = true;
+    v.tier = CascadeTier::kCache;
+  } else {
+    v = cascade_.BoundedDistance(query, qc.qi, snap.graph(slot),
+                                 snap.invariants(slot), tau, need_distance,
+                                 stats, metered ? &probe : nullptr);
+    if (metered) PublishTierLatency(probe);
+    if (use_cache_ && v.exact_distance) cache_.Insert(qc.fp, gid, v.ged);
   }
-  CascadeProbe probe;
-  CascadeVerdict v = cascade_.BoundedDistance(
-      query, qc.qi, snap.graph(slot), snap.invariants(slot), tau,
-      need_distance, stats, tracing ? &probe : nullptr);
-  if (use_cache_ && v.exact_distance) cache_.Insert(qc.fp, gid, v.ged);
   if (tracing) {
     telemetry::TraceEvent e;
     e.query_id = qc.trace_id;
@@ -187,6 +170,7 @@ CascadeVerdict QueryEngine::EvalPair(const Graph& query,
     e.ged = v.ged;
     e.within = v.within;
     e.exact = v.exact_distance;
+    e.cache_hit = v.tier == CascadeTier::kCache;
     e.exact_expansions = probe.exact_expansions;
     std::copy(probe.tier_us, probe.tier_us + 5, e.tier_us);
     e.total_us = telemetry::NowUs() - t0;
@@ -273,27 +257,16 @@ std::vector<RangeResult> QueryEngine::RangeBatchLocked(
     RangeResult& res = uniq_res[u];
     for (const auto& ws : worker_stats) res.stats.cascade.Merge(ws[u]);
     res.stats.index = istats[u];
-    // Fold index-dismissed graphs into the stats (and mirror into the
-    // global counters) so `candidates` still counts the whole corpus and
-    // SettledTotal == candidates keeps reconciling.
+    // Fold index-dismissed graphs into the stats so `candidates` still
+    // counts the whole corpus and SettledTotal == candidates holds.
     const long pruned = static_cast<long>(n) -
                         static_cast<long>(cand[u].size());
-    if (pruned > 0) {
-      res.stats.cascade.candidates += pruned;
-      res.stats.cascade.pruned_index += pruned;
-      OTGED_COUNT_N("otged_cascade_candidates_total",
-                    "candidate pairs fed into the filter cascade", pruned);
-      OTGED_COUNT_N("otged_cascade_pruned_total{tier=\"index\"}",
-                    "pairs dismissed by the candidate index before the "
-                    "cascade",
-                    pruned);
-    }
+    res.stats.cascade.candidates += pruned;
+    res.stats.cascade.pruned_index += pruned;
     res.stats.wall_ms = wall_clock.WallMs(u, wall);
     res.stats.epoch = snap->epoch();
     res.stats.trace_id = ctx[u].trace_id;
-    OTGED_HIST_RECORD("otged_query_latency_us{kind=\"range\"}",
-                      "per-query serving latency",
-                      std::lround(res.stats.wall_ms * 1000.0));
+    PublishQueryStats(res.stats, QueryKind::kRange, iview != nullptr);
   }
   std::vector<RangeResult> out(nq);
   for (int q = 0; q < nq; ++q) out[q] = uniq_res[uniq_of[q]];
@@ -495,31 +468,16 @@ std::vector<TopKResult> QueryEngine::TopKBatchLocked(
     res.stats.index = istats[u];
     // Fold the candidates screened out before the cascade (by the index's
     // LB-range cut, or by phase A's bound matrix) into the stats so they
-    // describe the query — and mirror the fold into the global counters
-    // so Prometheus totals keep reconciling with summed QueryStats.
+    // describe the query.
     res.stats.cascade.candidates += screened[u];
-    OTGED_COUNT_N("otged_cascade_candidates_total",
-                  "candidate pairs fed into the filter cascade",
-                  screened[u]);
-    if (iview != nullptr) {
+    if (iview != nullptr)
       res.stats.cascade.pruned_index += screened[u];
-      OTGED_COUNT_N("otged_cascade_pruned_total{tier=\"index\"}",
-                    "pairs dismissed by the candidate index before the "
-                    "cascade",
-                    screened[u]);
-    } else {
+    else
       res.stats.cascade.pruned_invariant += screened[u];
-      OTGED_COUNT_N("otged_cascade_pruned_total{tier=\"invariant\"}",
-                    "pairs dismissed by an admissible lower bound at this "
-                    "tier",
-                    screened[u]);
-    }
     res.stats.wall_ms = wall_clock.WallMs(u, wall);
     res.stats.epoch = snap->epoch();
     res.stats.trace_id = ctx[u].trace_id;
-    OTGED_HIST_RECORD("otged_query_latency_us{kind=\"topk\"}",
-                      "per-query serving latency",
-                      std::lround(res.stats.wall_ms * 1000.0));
+    PublishQueryStats(res.stats, QueryKind::kTopK, iview != nullptr);
   }
   for (int q = 0; q < nq; ++q) out[q] = uniq_res[uniq_of[q]];
   return out;

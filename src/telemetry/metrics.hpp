@@ -26,12 +26,8 @@
 /// monotone, so a concurrent snapshot is simply a valid slightly-earlier
 /// or slightly-later view).
 ///
-/// Cost when off:
-///   * compile time — defining OTGED_TELEMETRY_DISABLED turns every
-///     OTGED_* macro into `do {} while (0)`: no statics, no branches, no
-///     registry reference survives in the object code;
-///   * run time — telemetry::SetEnabled(false) short-circuits the macros
-///     to one relaxed atomic-bool load.
+/// Cost when off: telemetry::SetEnabled(false) short-circuits the macros
+/// to one relaxed atomic-bool load.
 #ifndef OTGED_TELEMETRY_METRICS_HPP_
 #define OTGED_TELEMETRY_METRICS_HPP_
 
@@ -47,12 +43,6 @@
 
 namespace otged {
 namespace telemetry {
-
-#ifdef OTGED_TELEMETRY_DISABLED
-#define OTGED_TELEMETRY_COMPILED 0
-#else
-#define OTGED_TELEMETRY_COMPILED 1
-#endif
 
 /// Runtime master switch (default on). Flipping it only gates *new*
 /// updates; already-registered metrics keep their values.
@@ -229,13 +219,8 @@ MetricsRegistry& Registry();
 }  // namespace otged
 
 // ---------------------------------------------------------------- macros
-// Instrumentation sites use these so a build with OTGED_TELEMETRY_DISABLED
-// contains no telemetry code at all. The `static` reference makes the
-// registry lookup a one-time cost per call site.
-#if OTGED_TELEMETRY_COMPILED
-
-#define OTGED_TELEMETRY_ON() (::otged::telemetry::Enabled())
-
+// The `static` reference makes the registry lookup a one-time cost per
+// call site, so each site records under the one name it first saw.
 #define OTGED_COUNT_N(name, help, n)                                      \
   do {                                                                    \
     if (::otged::telemetry::Enabled()) {                                  \
@@ -271,16 +256,6 @@ MetricsRegistry& Registry();
       otged_hist_.Record(value);                                          \
     }                                                                     \
   } while (0)
-
-#else  // telemetry compiled out
-
-#define OTGED_TELEMETRY_ON() (false)
-#define OTGED_COUNT_N(name, help, n) do {} while (0)
-#define OTGED_GAUGE_SET(name, help, v) do {} while (0)
-#define OTGED_GAUGE_ADD(name, help, n) do {} while (0)
-#define OTGED_HIST_RECORD(name, help, value) do {} while (0)
-
-#endif  // OTGED_TELEMETRY_COMPILED
 
 #define OTGED_COUNT(name, help) OTGED_COUNT_N(name, help, 1)
 

@@ -107,19 +107,15 @@ TEST(ExactBudgetTest, StarvedEngineKeepsEveryTrueHitAndReconciles) {
   const RangeResult truth = truth_engine.Range(query, kTau);
   ASSERT_EQ(truth.stats.cascade.exact_incomplete, 0);
 
-#if OTGED_TELEMETRY_COMPILED
   telemetry::SetEnabled(true);
   const telemetry::MetricsSnapshot before =
       telemetry::Registry().Snapshot();
-#endif
   const RangeResult got = starved_engine.Range(query, kTau);
   const TopKResult topk = starved_engine.TopK(query, 5);
   CascadeStats total;
   total.Merge(got.stats.cascade);
   total.Merge(topk.stats.cascade);
-#if OTGED_TELEMETRY_COMPILED
   const telemetry::MetricsSnapshot after = telemetry::Registry().Snapshot();
-#endif
 
   // A starved exact tier must actually have happened for this test to
   // mean anything; top-k forces need_distance, so bound gaps cannot be
@@ -149,15 +145,13 @@ TEST(ExactBudgetTest, StarvedEngineKeepsEveryTrueHitAndReconciles) {
     EXPECT_TRUE(a.ged < b.ged || (a.ged == b.ged && a.id < b.id));
   }
 
-#if OTGED_TELEMETRY_COMPILED
-  // The same starvation counted two independent ways.
+  // The registry counters agree with the summed QueryStats.
   EXPECT_EQ(after.CounterValue("otged_cascade_exact_incomplete_total") -
                 before.CounterValue("otged_cascade_exact_incomplete_total"),
             total.exact_incomplete);
   EXPECT_EQ(after.CounterValue("otged_cascade_exact_calls_total") -
                 before.CounterValue("otged_cascade_exact_calls_total"),
             total.exact_calls);
-#endif
 }
 
 TEST(ExactBudgetTest, GraphBeyondExactLimitIsKeptUnproven) {

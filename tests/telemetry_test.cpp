@@ -229,21 +229,17 @@ TEST(TelemetryBenchReportTest, PercentileAndGitRevision) {
 }
 
 // ------------------------------------------------------------ end to end
-// These tests assert that the library's instrumentation fires, so they
-// only make sense when it is compiled in (the unit tests above exercise
-// the metric types directly and run either way).
-#if OTGED_TELEMETRY_COMPILED
-
-// Counter deltas across a serving burst must match the CascadeStats
-// totals the engine itself returns — the same decisions counted two
-// independent ways (per-worker stats buffers vs the sharded global
-// counters).
+// Counter deltas across a serving burst must match the CascadeStats and
+// IndexStats totals the engine itself returns. The name -> field lists
+// below are written out by hand on purpose: they are an independent
+// check on the library's publication table, not a copy of it.
+template <typename Stats>
 struct NamedField {
   const char* counter;
-  long CascadeStats::*field;
+  long Stats::*field;
 };
 
-constexpr NamedField kCascadeFields[] = {
+constexpr NamedField<CascadeStats> kCascadeFields[] = {
     {"otged_cascade_candidates_total", &CascadeStats::candidates},
     {"otged_cascade_pruned_total{tier=\"index\"}",
      &CascadeStats::pruned_index},
@@ -265,6 +261,47 @@ constexpr NamedField kCascadeFields[] = {
     {"otged_cascade_cache_hits_total", &CascadeStats::cache_hits},
 };
 
+constexpr NamedField<IndexStats> kIndexFields[] = {
+    {"otged_index_candidates_total", &IndexStats::candidates},
+    {"otged_index_pruned_total{level=\"partition\"}",
+     &IndexStats::partition_pruned},
+    {"otged_index_pruned_total{level=\"label\"}", &IndexStats::label_pruned},
+    {"otged_index_pruned_total{level=\"vptree\"}",
+     &IndexStats::vptree_pruned},
+    {"otged_index_partitions_opened_total", &IndexStats::partitions_opened},
+    {"otged_index_vp_nodes_visited_total", &IndexStats::vp_nodes_visited},
+};
+
+/// Summed per-query stats of a serving burst.
+struct BurstTotals {
+  CascadeStats cascade;
+  IndexStats index;
+
+  void Add(const QueryStats& s) {
+    cascade.Merge(s.cascade);
+    index.Merge(s.index);
+  }
+};
+
+void ExpectCountersMatch(const telemetry::MetricsSnapshot& before,
+                         const telemetry::MetricsSnapshot& after,
+                         const BurstTotals& total) {
+  auto delta = [&](const char* name) {
+    return after.CounterValue(name) - before.CounterValue(name);
+  };
+  for (const auto& nf : kCascadeFields)
+    EXPECT_EQ(delta(nf.counter), total.cascade.*nf.field) << nf.counter;
+  for (const auto& nf : kIndexFields)
+    EXPECT_EQ(delta(nf.counter), total.index.*nf.field) << nf.counter;
+}
+
+long HistogramCount(const telemetry::MetricsSnapshot& snap,
+                    const std::string& name) {
+  for (const auto& h : snap.histograms)
+    if (h.name == name) return h.hist.count;
+  return 0;
+}
+
 TEST(TelemetryEndToEndTest, CascadeCountersReconcileWithQueryStats) {
   telemetry::SetEnabled(true);
   Rng rng(1234);
@@ -280,25 +317,80 @@ TEST(TelemetryEndToEndTest, CascadeCountersReconcileWithQueryStats) {
   for (int q = 0; q < 5; ++q) queries.push_back(AidsLikeGraph(&rng, 4, 10));
 
   telemetry::MetricsSnapshot before = telemetry::Registry().Snapshot();
-  CascadeStats total;
+  BurstTotals total;
   for (const RangeResult& res : engine.RangeBatch(queries, 3))
-    total.Merge(res.stats.cascade);
+    total.Add(res.stats);
   for (const TopKResult& res : engine.TopKBatch(queries, 4))
-    total.Merge(res.stats.cascade);
-  // Second range pass hits the bound cache, exercising the cache-hit
-  // mirror path too.
+    total.Add(res.stats);
+  // Second range pass hits the bound cache.
   for (const RangeResult& res : engine.RangeBatch(queries, 3))
-    total.Merge(res.stats.cascade);
+    total.Add(res.stats);
   telemetry::MetricsSnapshot after = telemetry::Registry().Snapshot();
 
-  ASSERT_GT(total.candidates, 0);
-  EXPECT_GT(total.cache_hits, 0) << "warm pass should hit the bound cache";
+  ASSERT_GT(total.cascade.candidates, 0);
+  EXPECT_GT(total.cascade.cache_hits, 0)
+      << "warm pass should hit the bound cache";
+  EXPECT_GT(total.index.vp_nodes_visited, 0);
   // Every candidate is settled by exactly one tier or the cache.
-  EXPECT_EQ(total.SettledTotal(), total.candidates);
-  for (const NamedField& nf : kCascadeFields)
-    EXPECT_EQ(after.CounterValue(nf.counter) - before.CounterValue(nf.counter),
-              total.*nf.field)
-        << nf.counter;
+  EXPECT_EQ(total.cascade.SettledTotal(), total.cascade.candidates);
+  ExpectCountersMatch(before, after, total);
+}
+
+TEST(TelemetryEndToEndTest, RepeatedBatchQueryIsCountedOnce) {
+  // A batch evaluates a repeated query once and copies its result, so the
+  // counters move by the stats of the distinct queries only.
+  telemetry::SetEnabled(true);
+  Rng rng(4321);
+  GraphStore store;
+  for (int i = 0; i < 50; ++i) store.Add(AidsLikeGraph(&rng, 4, 10));
+  EngineOptions opt;
+  opt.num_threads = 2;
+  QueryEngine engine(&store, opt);
+  const Graph a = AidsLikeGraph(&rng, 4, 10);
+  const Graph b = AidsLikeGraph(&rng, 4, 10);
+
+  telemetry::MetricsSnapshot before = telemetry::Registry().Snapshot();
+  const std::vector<RangeResult> res = engine.RangeBatch({a, b, a}, 3);
+  telemetry::MetricsSnapshot after = telemetry::Registry().Snapshot();
+
+  ASSERT_EQ(res.size(), 3u);
+  EXPECT_EQ(res[2].stats.trace_id, res[0].stats.trace_id);
+  BurstTotals distinct;
+  distinct.Add(res[0].stats);
+  distinct.Add(res[1].stats);
+  ASSERT_GT(distinct.cascade.candidates, 0);
+  ExpectCountersMatch(before, after, distinct);
+  const char* queries = "otged_index_queries_total{kind=\"range\"}";
+  EXPECT_EQ(after.CounterValue(queries) - before.CounterValue(queries), 2);
+}
+
+TEST(TelemetryEndToEndTest, IndexLevelLatencyIsOneSamplePerQuery) {
+  // Top-k walks the VP-tree twice (seeds, then the LB-range cut), yet
+  // the per-query histogram must take one vptree sample per query.
+  telemetry::SetEnabled(true);
+  Rng rng(99);
+  GraphStore store;
+  for (int i = 0; i < 60; ++i) store.Add(AidsLikeGraph(&rng, 4, 10));
+  EngineOptions opt;
+  opt.num_threads = 2;
+  QueryEngine engine(&store, opt);
+  ASSERT_NE(engine.index(), nullptr);
+  const std::string vptree = "otged_index_level_latency_us{level=\"vptree\"}";
+  const std::string label = "otged_index_level_latency_us{level=\"label\"}";
+
+  constexpr int kQueries = 3;
+  telemetry::MetricsSnapshot before = telemetry::Registry().Snapshot();
+  for (int q = 0; q < kQueries; ++q) engine.TopK(AidsLikeGraph(&rng, 4, 10), 3);
+  telemetry::MetricsSnapshot mid = telemetry::Registry().Snapshot();
+  for (int q = 0; q < kQueries; ++q)
+    engine.Range(AidsLikeGraph(&rng, 4, 10), 2);
+  telemetry::MetricsSnapshot after = telemetry::Registry().Snapshot();
+
+  EXPECT_EQ(HistogramCount(mid, vptree) - HistogramCount(before, vptree),
+            kQueries);
+  EXPECT_EQ(HistogramCount(after, vptree), HistogramCount(mid, vptree));
+  EXPECT_EQ(HistogramCount(after, label) - HistogramCount(mid, label),
+            kQueries);
 }
 
 TEST(TelemetryEndToEndTest, TraceEventsMatchCandidateDecisions) {
@@ -354,10 +446,8 @@ TEST(TelemetryEndToEndTest, TraceEventsMatchCandidateDecisions) {
   EXPECT_EQ(by_tier[5], total.cache_hits);
 }
 
-#endif  // OTGED_TELEMETRY_COMPILED
-
 // Per-query wall times and trace ids are first-class QueryStats fields,
-// populated whether or not telemetry is compiled in.
+// populated whether or not telemetry is enabled.
 TEST(TelemetryEndToEndTest, BatchQueriesReportIndividualWallTimes) {
   Rng rng(55);
   GraphStore store;

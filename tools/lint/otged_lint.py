@@ -13,7 +13,10 @@ Rules (names are what `allow(...)` suppressions reference):
   metric-name     every telemetry metric name is registered under exactly
                   one kind (counter/gauge/histogram), appears in the
                   README metric catalog, and every cataloged name is used
-                  somewhere in src/.
+                  somewhere in src/. Names are read from literal
+                  arguments of GetCounter(/OTGED_* sites and from the
+                  rows of a table marked
+                  `// otged-lint: metric-table(<kind>)`.
   include-guard   headers use the single repo guard style
                   `OTGED_<PATH>_HPP_` (repo-relative path, `src/`
                   dropped, uppercased) — `#ifndef` immediately followed
@@ -70,6 +73,9 @@ METRIC_SITE_RE = re.compile(
     r"\b(" + "|".join(METRIC_MACROS) + r")\s*\(")
 CHAR_CONST_RE = re.compile(
     r'constexpr\s+const\s+char\s*\*\s*(\w+)\s*=\s*"([^"]*)"')
+METRIC_TABLE_RE = re.compile(
+    r"//\s*otged-lint:\s*metric-table\((counter|gauge|histogram)\)")
+STRING_LIT_RE = re.compile(r'"((?:[^"\\]|\\.)*)"')
 
 
 class Finding:
@@ -200,6 +206,18 @@ def metric_sites(path, text, stripped):
         if name is None or not name.startswith("otged_"):
             continue  # forwarding macro definition or non-metric call
         yield line_of(text, m.start()), base_metric_name(name), kind
+    # Table rows: every `otged_` string literal inside the brace
+    # initializer that follows a metric-table marker names one metric.
+    for m in METRIC_TABLE_RE.finditer(text):
+        brace = stripped.find("{", m.end())
+        if brace < 0:
+            continue
+        end = balanced_span(stripped, brace, "{", "}")
+        for lit in STRING_LIT_RE.finditer(text, brace, end):
+            name = lit.group(1).replace('\\"', '"')
+            if name.startswith("otged_"):
+                yield (line_of(text, lit.start()), base_metric_name(name),
+                       m.group(1))
 
 
 CATALOG_NAME_RE = re.compile(r"`([^`]*otged_[^`]*)`")

@@ -166,12 +166,22 @@ int main(int argc, char** argv) {
   IndexStats frac_total;
   CascadeStats cascade_total;
   std::vector<double> latencies_ms;
+  // Hits served without proof: a range hit needs ged <= tau or an exact
+  // distance, a top-k hit an exact distance.
+  long hits = 0, unproven_hits = 0;
+  auto tally = [&](const std::vector<SearchHit>& got, int range_tau) {
+    hits += static_cast<long>(got.size());
+    for (const SearchHit& h : got)
+      if (!h.exact_distance && (range_tau < 0 || h.ged > range_tau))
+        ++unproven_hits;
+  };
   t0 = std::chrono::steady_clock::now();
   for (const Graph& q : fraction_set) {
     RangeResult res = indexed.Range(q, tau);
     frac_total.Merge(res.stats.index);
     cascade_total.Merge(res.stats.cascade);
     latencies_ms.push_back(res.stats.wall_ms);
+    tally(res.hits, tau);
   }
   double serving_s = Seconds(t0);
   const double scanned = static_cast<double>(
@@ -220,6 +230,7 @@ int main(int argc, char** argv) {
     latencies_ms.push_back(got.stats.wall_ms);
     cascade_total.Merge(got.stats.cascade);
     frac_total.Merge(got.stats.index);
+    tally(got.hits, tau);
     tq = std::chrono::steady_clock::now();
     RangeResult expected = brute.Range(query, tau);
     std::printf("  [range %2d] indexed %.2f s, brute %.2f s, %zu hits\n", q,
@@ -240,6 +251,7 @@ int main(int argc, char** argv) {
     latencies_ms.push_back(got.stats.wall_ms);
     cascade_total.Merge(got.stats.cascade);
     frac_total.Merge(got.stats.index);
+    tally(got.hits, /*range_tau=*/-1);
     tq = std::chrono::steady_clock::now();
     TopKResult expected = brute.TopK(query, k);
     std::printf(
@@ -285,6 +297,7 @@ int main(int argc, char** argv) {
     latencies_ms.push_back(got.stats.wall_ms);
     cascade_total.Merge(got.stats.cascade);
     frac_total.Merge(got.stats.index);
+    tally(got.hits, tau);
     RangeResult expected = brute.Range(query, tau);
     if (!SameHits(got.hits, expected.hits)) ++churn_mismatched;
   }
@@ -325,6 +338,15 @@ int main(int argc, char** argv) {
       static_cast<double>(cascade_total.pruned_index) / cand;
   report.cache_hit_rate =
       static_cast<double>(cascade_total.cache_hits) / cand;
+  report.unproven_hit_fraction =
+      hits > 0 ? static_cast<double>(unproven_hits) /
+                     static_cast<double>(hits)
+               : 0.0;
+  report.exact_exhaustion_rate =
+      cascade_total.exact_calls > 0
+          ? static_cast<double>(cascade_total.exact_incomplete) /
+                static_cast<double>(cascade_total.exact_calls)
+          : 0.0;
   report.has_index = true;
   const double all_scanned = static_cast<double>(
       frac_total.scanned > 0 ? frac_total.scanned : 1);
@@ -338,8 +360,10 @@ int main(int argc, char** argv) {
       static_cast<double>(frac_total.vptree_pruned) / all_scanned;
 
   std::printf("== record: %.2f queries/s | latency p50 %.2f ms, p95 "
-              "%.2f ms, p99 %.2f ms ==\n",
-              report.qps, report.p50_ms, report.p95_ms, report.p99_ms);
+              "%.2f ms, p99 %.2f ms | unproven hits %.4f, exact "
+              "exhaustion %.4f ==\n",
+              report.qps, report.p50_ms, report.p95_ms, report.p99_ms,
+              report.unproven_hit_fraction, report.exact_exhaustion_rate);
   std::string error;
   if (!telemetry::WriteBenchJson(report, out_path, &error)) {
     std::printf("  FAILED to write %s: %s\n", out_path.c_str(),

@@ -1,6 +1,7 @@
 #include "exact/branch_and_bound.hpp"
 
 #include <algorithm>
+#include <climits>
 #include <utility>
 #include <vector>
 
@@ -23,14 +24,24 @@ namespace {
 struct SeqDriver {
   const Searcher& searcher;
   long budget;
-  long expansions = 0;
   int best_ged;  ///< prune bound; seeded ub + 1, strict improvements only
   NodeMatching best_matching;
+  /// Also prune with Searcher::MappingBound. Only the decision search
+  /// sets it: its O(n^2) cost per child pays off under a tight tau + 1 cap,
+  /// but makes the optimisation search slower than it saves.
+  bool mapping_bound = false;
+  long expansions = 0;
   bool complete = true;  ///< search space exhausted within budget
 
   /// Per-depth child rankings, reused across sibling subtrees so the hot
   /// loop never allocates after warmup.
-  std::vector<std::vector<std::pair<int, int>>> ranked;
+  std::vector<std::vector<std::pair<int, int>>> ranked = {};
+
+  void Run() {
+    ranked.resize(static_cast<size_t>(std::max(searcher.ctx().n1, 1)));
+    DfsState root = searcher.MakeDfs();
+    Dfs(root);
+  }
 
   // otged-lint: hot-path
   void Dfs(DfsState& s) {
@@ -61,7 +72,9 @@ struct SeqDriver {
     for (auto [delta, v] : kids) {
       if (s.g + delta >= best_ged) continue;  // cheap pre-prune
       searcher.Push(&s, v, delta);
-      if (s.g + searcher.HeuristicOf(s) >= best_ged) {  // admissible prune
+      if (s.g + searcher.HeuristicOf(s) >= best_ged ||  // admissible prune
+          (mapping_bound &&
+           s.g + searcher.MappingBound(s, best_ged - s.g) >= best_ged)) {
         searcher.Pop(&s);
         continue;
       }
@@ -98,10 +111,11 @@ GedSearchResult BranchAndBoundGed(const Graph& g1, const Graph& g2,
 
   // Seed: best_ged = ub + 1 so a path matching ub is still explored; the
   // greedy matching backs the result if nothing better is found.
-  SeqDriver driver{searcher, opt.max_visits, 0, ub + 1, greedy, true, {}};
-  driver.ranked.resize(static_cast<size_t>(std::max(g1.NumNodes(), 1)));
-  DfsState root = searcher.MakeDfs();
-  driver.Dfs(root);
+  SeqDriver driver{.searcher = searcher,
+                   .budget = opt.max_visits,
+                   .best_ged = ub + 1,
+                   .best_matching = greedy};
+  driver.Run();
 
   GedSearchResult res;
   if (driver.best_ged <= ub) {
@@ -116,6 +130,33 @@ GedSearchResult BranchAndBoundGed(const Graph& g1, const Graph& g2,
   // nothing found and the greedy fallback unproven.
   res.exact = driver.complete && driver.best_ged <= ub;
   res.expansions = driver.expansions;
+  return res;
+}
+
+GedDecisionResult DecideGedWithin(const Graph& g1, const Graph& g2, int tau,
+                                  long max_visits) {
+  OTGED_CHECK(g1.NumNodes() <= g2.NumNodes());
+  GedDecisionResult res;
+  // Beyond the bitset search state nothing is decided: kUnknown, like a
+  // search that ran out of budget before its root.
+  if (g2.NumNodes() > internal::kMaxExactNodes) return res;
+  Searcher searcher(g1, g2);
+  SeqDriver driver{.searcher = searcher,
+                   .budget = max_visits,
+                   .best_ged = std::min(tau, INT_MAX - 1) + 1,
+                   .best_matching = {},
+                   .mapping_bound = true};
+  driver.Run();
+
+  res.expansions = driver.expansions;
+  if (driver.best_ged <= tau) {
+    res.decision = GedDecision::kWithin;
+    res.ged = driver.best_ged;
+    res.matching = std::move(driver.best_matching);
+    res.exact = driver.complete;
+  } else if (driver.complete) {
+    res.decision = GedDecision::kBeyond;
+  }
   return res;
 }
 

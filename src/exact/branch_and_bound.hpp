@@ -38,6 +38,35 @@ struct BnbOptions {
 GedSearchResult BranchAndBoundGed(const Graph& g1, const Graph& g2,
                                   const BnbOptions& opt = {});
 
+/// Three-way answer to "GED <= tau?".
+enum class GedDecision {
+  kWithin,   ///< proven: a witness of cost <= tau was found
+  kBeyond,   ///< proven: the search completed and no path costs <= tau
+  kUnknown,  ///< budget exhausted (or graph too large) before either
+};
+
+/// Result of DecideGedWithin. `ged`, `matching` and `exact` are set only
+/// for kWithin.
+struct GedDecisionResult {
+  GedDecision decision = GedDecision::kUnknown;
+  int ged = -1;           ///< witness cost, <= tau
+  NodeMatching matching;  ///< G1 node -> G2 node realizing `ged`
+  bool exact = false;     ///< the search completed: `ged` is the GED
+  long expansions = 0;    ///< same accounting as BranchAndBoundGed
+};
+
+/// Decides GED(g1, g2) <= tau by the same depth-first search as
+/// BranchAndBoundGed, pruned at tau + 1 instead of at an upper bound on
+/// the optimum, and with the partial-mapping bound (label mismatch plus
+/// mismatched edges to the mapped nodes, per unmapped node) on top of
+/// the label/edge-count heuristic. After a witness is found the search
+/// keeps lowering the cap, so a completed search also proves the
+/// witness optimal. `max_visits` is the expansion budget (BnbOptions
+/// semantics). Requires n1 <= n2. Graphs beyond the exact search's node
+/// limit (64) return kUnknown with no expansions.
+GedDecisionResult DecideGedWithin(const Graph& g1, const Graph& g2, int tau,
+                                  long max_visits);
+
 }  // namespace otged
 
 #endif  // OTGED_EXACT_BRANCH_AND_BOUND_HPP_

@@ -14,7 +14,9 @@
 ///                branch-and-bound driver: Push/Pop are O(deg) via
 ///                bit-parallel neighbor masks and the heuristic is O(1),
 ///                against the O(n + m) recompute SearchState pays per
-///                Child.
+///                Child. It also keeps, per G1 node, the G2 images of
+///                its mapped neighbours, which feed the O(n^2)
+///                partial-mapping bound of the decision search.
 ///
 /// Not part of the public API.
 #ifndef OTGED_EXACT_SEARCH_COMMON_HPP_
@@ -110,6 +112,8 @@ struct DfsState {
   std::vector<int> c2_rem;      ///< per-label count of unmapped G2 nodes
   std::vector<int> path_v;      ///< depth -> chosen G2 node
   std::vector<int> path_delta;  ///< depth -> cost charged at that depth
+  std::vector<uint64_t> img;    ///< G1 node -> G2 images of its mapped
+                                ///< neighbours (bitset)
   uint64_t used = 0;            ///< bitmask of mapped G2 nodes
   int depth = 0;
   int g = 0;        ///< cost of the partial mapping
@@ -232,6 +236,7 @@ class Searcher {
     s.c2_rem = c2_rem_;
     s.path_v.assign(static_cast<size_t>(ctx_.n1), -1);
     s.path_delta.assign(static_cast<size_t>(ctx_.n1), 0);
+    s.img.assign(static_cast<size_t>(ctx_.n1), 0);
     s.m1_rem = ctx_.g1.NumEdges();
     s.m2_rem = ctx_.g2.NumEdges();
     for (int l = 0; l < ctx_.num_labels; ++l)
@@ -281,6 +286,8 @@ class Searcher {
     s->m1_rem -=
         std::popcount(ctx_.adj1_mask[u] & ctx_.order_prefix[s->depth]);
     s->m2_rem -= std::popcount(ctx_.adj2_mask[v] & s->used);
+    for (uint64_t m = ctx_.adj1_mask[u]; m != 0; m &= m - 1)
+      s->img[std::countr_zero(m)] |= 1ull << v;
     s->map1to2[u] = v;
     s->map2to1[v] = u;
     s->used |= 1ull << v;
@@ -300,6 +307,8 @@ class Searcher {
     s->used &= ~(1ull << v);
     s->map1to2[u] = -1;
     s->map2to1[v] = -1;
+    for (uint64_t m = ctx_.adj1_mask[u]; m != 0; m &= m - 1)
+      s->img[std::countr_zero(m)] &= ~(1ull << v);
     s->m1_rem +=
         std::popcount(ctx_.adj1_mask[u] & ctx_.order_prefix[s->depth]);
     s->m2_rem += std::popcount(ctx_.adj2_mask[v] & s->used);
@@ -317,6 +326,46 @@ class Searcher {
   // otged-lint: hot-path
   int HeuristicOf(const DfsState& s) const {
     return s.surplus + (ctx_.n2 - ctx_.n1) + std::abs(s.m1_rem - s.m2_rem);
+  }
+
+  /// Admissible lower bound on the cost of completing `s`, built from
+  /// the partial mapping (the decision search's pruning bound, in the
+  /// spirit of AStar+-BMao's [8] partial-mapping bounds). It sums three
+  /// terms over disjoint parts of the remaining edit path:
+  ///   - for each unmapped G1 node u, the cheapest free G2 node v:
+  ///     label mismatch plus the edges between u and the mapped nodes
+  ///     that mapping u to v deletes or inserts,
+  ///     popcount(img[u] ^ (adj2[v] & used));
+  ///   - the n2 - n1 inevitable node insertions;
+  ///   - the gap between the two graphs' counts of edges that lie wholly
+  ///     among unmapped nodes.
+  /// Edge relabels are not counted. O(n1 * n2); stops summing once the
+  /// total reaches `cap`, so a result >= cap is only known to be >= cap.
+  // otged-lint: hot-path
+  int MappingBound(const DfsState& s, int cap) const {
+    const uint64_t free1 = ctx_.order_prefix[ctx_.n1] &
+                           ~ctx_.order_prefix[s.depth];
+    const uint64_t free2 =
+        ~s.used & (ctx_.n2 == 64 ? ~0ull : (1ull << ctx_.n2) - 1);
+    int inner1 = 0, inner2 = 0;  // twice the wholly-unmapped edge counts
+    for (uint64_t m = free1; m != 0; m &= m - 1)
+      inner1 += std::popcount(ctx_.adj1_mask[std::countr_zero(m)] & free1);
+    for (uint64_t m = free2; m != 0; m &= m - 1)
+      inner2 += std::popcount(ctx_.adj2_mask[std::countr_zero(m)] & free2);
+    int bound = (ctx_.n2 - ctx_.n1) + std::abs(inner1 - inner2) / 2;
+    for (uint64_t mu = free1; mu != 0 && bound < cap; mu &= mu - 1) {
+      const int u = std::countr_zero(mu);
+      int best = ctx_.n2 + 1;  // above any single node's cost (<= n2)
+      for (uint64_t mv = free2; mv != 0 && best > 0; mv &= mv - 1) {
+        const int v = std::countr_zero(mv);
+        const int c =
+            (ctx_.g1_label[u] != ctx_.g2_label[v] ? 1 : 0) +
+            std::popcount(s.img[u] ^ (ctx_.adj2_mask[v] & s.used));
+        best = std::min(best, c);
+      }
+      bound += best;
+    }
+    return bound;
   }
 
   NodeMatching ExtractMatching(const DfsState& s) const {

@@ -141,12 +141,39 @@ CascadeVerdict FilterCascade::BoundedDistance(const Graph& query,
     mark(CascadeTier::kOt);
   }
 
-  // --- tier 4: exact verify (branch and bound, seeded with best UB) ----
+  // --- tier 4: exact verify ---------------------------------------------
   stats->exact_calls++;
+  stats->decided_exact++;
+  if (!need_distance) {
+    // Range mode only needs GED <= tau, and here ub > tau: decide it
+    // with a search pruned at tau + 1 instead of proving the optimum.
+    const GedDecisionResult d =
+        DecideGedWithin(*g1, *g2, tau, opt_.exact_budget);
+    if (probe != nullptr) probe->exact_expansions = d.expansions;
+    switch (d.decision) {
+      case GedDecision::kWithin:
+        v.within = true;
+        v.ged = d.ged;
+        v.exact_distance = d.exact;
+        ub = d.ged;
+        break;
+      case GedDecision::kBeyond:
+        v.ged = ub;
+        lb = tau + 1;  // the completed search is an admissible proof
+        break;
+      case GedDecision::kUnknown:
+        // No proof either way: keep the candidate (no false dismissals,
+        // ever) with the feasible upper bound as its unproven distance.
+        stats->exact_incomplete++;
+        v.within = true;
+        v.ged = ub;
+        break;
+    }
+    return settle(CascadeTier::kExact);
+  }
   GedSearchResult exact = ExactSearch(*g1, *g2, opt_.exact_budget, ub, stats);
   if (probe != nullptr) probe->exact_expansions = exact.expansions;
   if (!exact.exact) stats->exact_incomplete++;
-  stats->decided_exact++;
   // On budget exhaustion `exact.ged` is only a feasible upper bound; the
   // only valid dismissal evidence is an admissible LB > tau, and here
   // lb <= tau. Keep the candidate (no false dismissals, ever) and flag

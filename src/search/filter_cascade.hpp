@@ -12,19 +12,29 @@
 ///                                          bound; LB == UB certifies
 ///   tier 3  OT verify           O(I n^3)   GEDGW conditional gradient +
 ///                                          k-best edit-path upper bound
-///   tier 4  exact verify        exp(n)     branch-and-bound, seeded with
-///                                          the best upper bound
+///   tier 4  exact verify        exp(n)     range: decision search for
+///                                          GED <= tau, pruned at tau + 1
+///                                          (DecideGedWithin); top-k:
+///                                          branch-and-bound for the exact
+///                                          distance, seeded with the best
+///                                          upper bound (BranchAndBoundGed)
 ///
-/// Tier 4 runs one sequential branch-and-bound per pair; parallelism
-/// comes from the QueryEngine's pool spreading pairs over its workers.
+/// Tier 4 runs one sequential search per pair; parallelism comes from the
+/// QueryEngine's pool spreading pairs over its workers. A range query
+/// only needs membership, so its tier 4 decides GED <= tau and proves a
+/// hit with a witness path (exact too if the search completes) or a
+/// dismissal with a completed search. Top-k ranking still needs the
+/// exact distance.
 ///
 /// Lower bounds are admissible and upper bounds are witnessed by feasible
 /// edit paths, so a range decision (`GED <= tau`?) made at any tier equals
 /// the brute-force answer: no false dismissals, no false hits. The one
-/// exception is an exact-tier budget exhaustion, where the pair is kept
-/// conservatively (still no false dismissals) and flagged as unproven;
-/// a pair too large for the exact search (more than 64 nodes) is kept
-/// the same way.
+/// exception is a tier-4 search that exhausts its budget before deciding
+/// (range) or before proving the distance (top-k): the pair is kept
+/// conservatively (still no false dismissals) with its feasible upper
+/// bound as an unproven distance, and counted in `exact_incomplete`; a
+/// pair too large for the exact search (more than 64 nodes) is kept the
+/// same way.
 #ifndef OTGED_SEARCH_FILTER_CASCADE_HPP_
 #define OTGED_SEARCH_FILTER_CASCADE_HPP_
 
@@ -38,8 +48,8 @@ struct CascadeOptions {
   bool use_ot_verify = true;     ///< enable the tier-3 GEDGW refinement
   int kbest_k = 8;               ///< path-search width for the OT tier
   int gw_iters = 20;             ///< conditional-gradient iterations
-  /// Tier-4 branch-and-bound node-expansion budget per pair; a pair
-  /// that exhausts it is kept unproven.
+  /// Tier-4 node-expansion budget per pair; a pair whose search exhausts
+  /// it undecided is kept unproven.
   long exact_budget = 20'000'000;
 };
 
@@ -68,8 +78,11 @@ struct CascadeStats {
   long decided_ot = 0;        ///< decided by the tier-3 OT bound
   long decided_exact = 0;     ///< needed the exact solver
   long ot_calls = 0;          ///< GEDGW invocations
-  long exact_calls = 0;       ///< branch-and-bound invocations
+  long exact_calls = 0;       ///< tier-4 search invocations
   long exact_incomplete = 0;  ///< exact runs that exhausted their budget
+                              ///< without a proof: range mode, pairs
+                              ///< kept undecided; top-k, distances left
+                              ///< unproven
   long cache_hits = 0;        ///< pairs answered from the bound cache
 
   void Merge(const CascadeStats& o);
@@ -101,7 +114,8 @@ struct CascadeProbe {
 /// Outcome of a bounded-distance evaluation.
 struct CascadeVerdict {
   bool within = false;  ///< GED(q, g) <= tau
-  int ged = -1;         ///< best distance known (-1 if dismissed by a LB)
+  int ged = -1;  ///< best distance known (-1 if dismissed by a LB before
+                 ///< any UB was computed)
   bool exact_distance = false;  ///< `ged` is provably the exact GED
   CascadeTier tier = CascadeTier::kInvariant;  ///< deciding tier
 };
@@ -119,7 +133,8 @@ class FilterCascade {
   /// needed. With `need_distance`, membership alone never settles a
   /// candidate: the cascade continues (through the exact tier if the
   /// bounds disagree) until `ged` is the exact distance — top-k ranking
-  /// needs this; range queries do not. `qi` must be
+  /// needs this; range queries do not, and their exact tier only decides
+  /// GED <= tau. `qi` must be
   /// ComputeInvariants(query) and `gi` ComputeInvariants(g).
   CascadeVerdict BoundedDistance(const Graph& query,
                                  const GraphInvariants& qi, const Graph& g,

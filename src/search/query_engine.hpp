@@ -102,10 +102,14 @@ struct QueryStats {
 
 /// One search hit, shared by range and top-k results. `id` is the stable
 /// GraphStore id. `ged` is the best distance the engine needed for its
-/// decision: the exact distance iff `exact_distance`, otherwise a
-/// feasible upper bound (an unproven distance arises only when the exact
-/// tier exhausted its budget — the candidate is then kept conservatively,
-/// since the cascade never dismisses without an admissible-bound proof).
+/// decision: the exact distance iff `exact_distance`, otherwise the cost
+/// of a feasible edit path.
+///
+/// A range hit is proven iff `ged <= tau` (a witness path) or
+/// `exact_distance`. A range hit with `ged > tau` was kept because the
+/// exact tier exhausted its budget undecided: the cascade never dismisses
+/// without proof, so it keeps the candidate with its feasible upper bound.
+/// A top-k hit is proven iff `exact_distance`.
 ///
 /// `exact_distance` defaults to false for every hit kind: a distance is
 /// only exact when a tier proved it, and every construction site must

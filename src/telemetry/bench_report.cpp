@@ -70,8 +70,11 @@ bool WriteBenchJson(const BenchReport& report, const std::string& path,
                  report.tier_fractions[t]);
   std::fprintf(f,
                "},\n"
-               "  \"cache_hit_rate\": %.4f",
-               report.cache_hit_rate);
+               "  \"cache_hit_rate\": %.4f,\n"
+               "  \"unproven_hit_fraction\": %.4f,\n"
+               "  \"exact_exhaustion_rate\": %.4f",
+               report.cache_hit_rate, report.unproven_hit_fraction,
+               report.exact_exhaustion_rate);
   if (report.has_cache)
     std::fprintf(f,
                  ",\n  \"cache\": {\"repeat_ratio\": %.4f, "

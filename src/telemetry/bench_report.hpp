@@ -26,6 +26,15 @@
 ///                                           the GraphIndex dismissed
 ///                                           before the cascade ran)
 ///     "cache_hit_rate": number  bound-cache hits / candidate pairs
+///     "unproven_hit_fraction": number  hits served without proof, over
+///                                      all hits: a range hit with
+///                                      neither ged <= tau nor an exact
+///                                      distance, a top-k hit without an
+///                                      exact distance
+///     "exact_exhaustion_rate": number  tier-4 runs left undecided (the
+///                                      CascadeStats exact_incomplete /
+///                                      exact_calls ratio; 0 without
+///                                      calls)
 ///   }
 ///
 /// Two optional sections (emitted when the producing bench measured
@@ -67,6 +76,8 @@ struct BenchReport {
   /// settled per tier; they partition 1.
   double tier_fractions[7] = {0, 0, 0, 0, 0, 0, 0};
   double cache_hit_rate = 0.0;
+  double unproven_hit_fraction = 0.0;
+  double exact_exhaustion_rate = 0.0;
 
   /// Optional warm-cache methodology section (`"cache"` in the JSON);
   /// emitted when `has_cache` is set.

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <climits>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -28,6 +31,17 @@ Graph SampleGraph(int family, Rng* rng) {
     default:
       return AidsLikeGraph(rng, 4, 8);
   }
+}
+
+/// Per G1 node, the G2 images of its mapped neighbours, recomputed from
+/// scratch (the reference for DfsState::img).
+std::vector<uint64_t> NeighbourImages(const Graph& g1,
+                                      const std::vector<int>& map1to2) {
+  std::vector<uint64_t> img(static_cast<size_t>(g1.NumNodes()), 0);
+  for (int u = 0; u < g1.NumNodes(); ++u)
+    for (int w : g1.Neighbors(u))
+      if (map1to2[w] >= 0) img[u] |= 1ull << map1to2[w];
+  return img;
 }
 
 /// A pair ordered so n1 <= n2, as every exact search requires.
@@ -230,7 +244,8 @@ TEST(BnbTest, InfeasibleHintIsNotExact) {
 
 // The SoA do/undo scratch must agree with the recompute-from-scratch
 // reference at every step: DeltaFast vs Delta, the incremental O(1)
-// heuristic vs the O(n + m) recompute, and Push/Pop as exact inverses.
+// heuristic vs the O(n + m) recompute, the neighbour-image bitsets vs a
+// recompute after every Push and Pop, and Push/Pop as exact inverses.
 TEST(SearchScratchTest, MatchesRecomputeReferenceOnRandomWalks) {
   Rng rng(777);
   for (int trial = 0; trial < 200; ++trial) {
@@ -256,13 +271,19 @@ TEST(SearchScratchTest, MatchesRecomputeReferenceOnRandomWalks) {
       ASSERT_EQ(d.used, s.used);
       ASSERT_EQ(searcher.HeuristicOf(d), s.h)
           << "trial " << trial << " depth " << depth;
+      ASSERT_EQ(d.img, NeighbourImages(g1, d.map1to2))
+          << "trial " << trial << " push depth " << depth;
     }
     if (n1 > 0) {
       // Leaves: the O(1) heuristic degenerates to the completion cost.
       ASSERT_EQ(searcher.HeuristicOf(d), searcher.CompletionCost(s));
       ASSERT_EQ(searcher.ExtractMatching(d), searcher.ExtractMatching(s));
     }
-    for (int depth = 0; depth < n1; ++depth) searcher.Pop(&d);
+    for (int depth = 0; depth < n1; ++depth) {
+      searcher.Pop(&d);
+      ASSERT_EQ(d.img, NeighbourImages(g1, d.map1to2))
+          << "trial " << trial << " pop depth " << d.depth;
+    }
     // Pop is an exact inverse of Push: the state returns to the root.
     EXPECT_EQ(d.g, 0);
     EXPECT_EQ(d.used, 0u);
@@ -274,7 +295,165 @@ TEST(SearchScratchTest, MatchesRecomputeReferenceOnRandomWalks) {
     EXPECT_EQ(d.map2to1, fresh.map2to1);
     EXPECT_EQ(d.c1_rem, fresh.c1_rem);
     EXPECT_EQ(d.c2_rem, fresh.c2_rem);
+    EXPECT_EQ(d.img, fresh.img);
   }
+}
+
+/// Cheapest total cost over every completion of `d` (brute force), and
+/// checks on the way that the partial-mapping bound never overestimates
+/// the remaining cost at any state of the full search tree.
+int CheapestCompletion(const internal::Searcher& searcher,
+                       internal::DfsState* d, int* states) {
+  ++*states;
+  const int rest_bound = searcher.MappingBound(*d, INT_MAX);
+  int best;
+  if (d->depth == searcher.ctx().n1) {
+    best = d->g + searcher.HeuristicOf(*d);  // exact at a leaf
+  } else {
+    best = INT_MAX;
+    for (int v = 0; v < searcher.ctx().n2; ++v) {
+      if (d->used >> v & 1) continue;
+      searcher.Push(d, v, searcher.DeltaFast(*d, v));
+      best = std::min(best, CheapestCompletion(searcher, d, states));
+      searcher.Pop(d);
+    }
+  }
+  EXPECT_LE(d->g + rest_bound, best) << "depth " << d->depth;
+  return best;
+}
+
+TEST(SearchScratchTest, MappingBoundIsAdmissibleAtEveryState) {
+  Rng rng(778);
+  for (int trial = 0; trial < 60; ++trial) {
+    Graph g1, g2;
+    switch (trial % 3) {
+      case 0:  // unlabeled power-law
+        g1 = PowerLawGraph(rng.UniformInt(2, 6), 1, &rng);
+        g2 = PowerLawGraph(rng.UniformInt(3, 7), rng.UniformInt(1, 2), &rng);
+        break;
+      case 1:
+        g1 = LinuxLikeGraph(&rng, 4, 6);
+        g2 = LinuxLikeGraph(&rng, 4, 7);
+        break;
+      default:  // labeled, with edge labels
+        g1 = AidsLikeGraph(&rng, 3, 6);
+        g2 = AidsLikeGraph(&rng, 4, 7);
+        AssignRandomEdgeLabels(&g1, 3, &rng);
+        AssignRandomEdgeLabels(&g2, 3, &rng);
+        break;
+    }
+    if (g1.NumNodes() > g2.NumNodes()) std::swap(g1, g2);
+    internal::Searcher searcher(g1, g2);
+    internal::DfsState d = searcher.MakeDfs();
+    int states = 0;
+    const int cheapest = CheapestCompletion(searcher, &d, &states);
+    auto astar = AstarGed(g1, g2);
+    ASSERT_TRUE(astar.has_value());
+    EXPECT_EQ(cheapest, astar->ged) << "trial " << trial;
+    EXPECT_GT(states, g1.NumNodes()) << "trial " << trial;
+  }
+}
+
+/// One pair from the decision test's three families, with g2 either an
+/// edited copy of g1 (GED near the taus probed) or drawn independently.
+std::pair<Graph, Graph> DecisionPair(int trial, Rng* rng) {
+  Graph g1;
+  SyntheticEditOptions eopt;
+  eopt.num_edits = rng->UniformInt(0, 6);
+  switch (trial % 3) {
+    case 0:  // unlabeled power-law
+      g1 = PowerLawGraph(rng->UniformInt(3, 8), rng->UniformInt(1, 2), rng);
+      break;
+    case 1:  // Linux-like: unlabeled
+      g1 = LinuxLikeGraph(rng, 4, 8);
+      break;
+    default:  // AIDS-like with edge labels
+      g1 = AidsLikeGraph(rng, 3, 8);
+      AssignRandomEdgeLabels(&g1, 3, rng);
+      eopt.num_labels = 29;
+      eopt.num_edge_labels = 3;
+      break;
+  }
+  Graph g2;
+  if (trial % 4 == 3) {
+    g2 = trial % 3 == 0   ? PowerLawGraph(rng->UniformInt(3, 8), 1, rng)
+         : trial % 3 == 1 ? LinuxLikeGraph(rng, 4, 8)
+                          : AidsLikeGraph(rng, 3, 8);
+  } else {
+    g2 = SyntheticEditPair(g1, eopt, rng).g2;
+  }
+  if (g1.NumNodes() > g2.NumNodes()) std::swap(g1, g2);
+  return {std::move(g1), std::move(g2)};
+}
+
+TEST(DecisionTest, AgreesWithAstar) {
+  Rng rng(4242);
+  int pairs = 0, within = 0, beyond = 0, starved_unknown = 0,
+      unproven_witness = 0;
+  for (int trial = 0; pairs < 2000; ++trial) {
+    auto [g1, g2] = DecisionPair(trial, &rng);
+    if (g2.NumNodes() > 9) continue;  // keeps A* fast
+    auto astar = AstarGed(g1, g2);
+    ASSERT_TRUE(astar.has_value()) << "trial " << trial;
+    ++pairs;
+    for (int tau = 0; tau <= 6; ++tau) {
+      const GedDecisionResult d = DecideGedWithin(g1, g2, tau, 5'000'000);
+      if (astar->ged <= tau) {
+        ++within;
+        ASSERT_EQ(d.decision, GedDecision::kWithin)
+            << "trial " << trial << " tau " << tau;
+        EXPECT_LE(d.ged, tau);
+        EXPECT_EQ(EditCostFromMatching(g1, g2, d.matching), d.ged)
+            << "trial " << trial << " tau " << tau;
+        // The budget sufficed, so the search completed and the witness
+        // is the optimum.
+        EXPECT_TRUE(d.exact) << "trial " << trial << " tau " << tau;
+        EXPECT_EQ(d.ged, astar->ged) << "trial " << trial << " tau " << tau;
+      } else {
+        ++beyond;
+        ASSERT_EQ(d.decision, GedDecision::kBeyond)
+            << "trial " << trial << " tau " << tau;
+      }
+      // A starved search may give up, but never answers wrongly, and a
+      // witness found before the budget ran out is not claimed optimal.
+      for (long budget : {1L, 4L, 16L}) {
+        const GedDecisionResult s = DecideGedWithin(g1, g2, tau, budget);
+        EXPECT_LE(s.expansions, budget);
+        switch (s.decision) {
+          case GedDecision::kUnknown:
+            ++starved_unknown;
+            break;
+          case GedDecision::kWithin:
+            EXPECT_LE(astar->ged, s.ged) << "trial " << trial;
+            EXPECT_LE(s.ged, tau) << "trial " << trial;
+            EXPECT_EQ(EditCostFromMatching(g1, g2, s.matching), s.ged);
+            if (s.exact) {
+              EXPECT_EQ(s.ged, astar->ged) << "trial " << trial;
+            } else {
+              ++unproven_witness;
+            }
+            break;
+          case GedDecision::kBeyond:
+            EXPECT_GT(astar->ged, tau) << "trial " << trial;
+            break;
+        }
+      }
+    }
+  }
+  // Both answers, a starved give-up and a starved witness all occurred.
+  EXPECT_GT(within, 0);
+  EXPECT_GT(beyond, 0);
+  EXPECT_GT(starved_unknown, 0);
+  EXPECT_GT(unproven_witness, 0);
+}
+
+TEST(DecisionTest, GraphBeyondExactLimitIsUnknown) {
+  Rng rng(65);
+  const Graph big = PowerLawGraph(70, 2, &rng);
+  const Graph small = PowerLawGraph(60, 2, &rng);
+  const GedDecisionResult d = DecideGedWithin(small, big, 4, 1'000);
+  EXPECT_EQ(d.decision, GedDecision::kUnknown);
+  EXPECT_EQ(d.expansions, 0);
 }
 
 TEST(ExactPropertyTest, GedIsSymmetricUnderPairSwap) {

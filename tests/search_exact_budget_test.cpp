@@ -11,6 +11,7 @@
 #include <set>
 #include <vector>
 
+#include "exact/astar.hpp"
 #include "graph/generator.hpp"
 #include "search/query_engine.hpp"
 #include "telemetry/metrics.hpp"
@@ -77,6 +78,144 @@ TEST(ExactBudgetTest, StarvedVerdictsAreConservativeNeverExact) {
     }
   }
   EXPECT_GT(starved_runs, 0) << "fixture never reached a starved tier 4";
+}
+
+TEST(ExactBudgetTest, StarvedRangeVerdictsAreConservativeNeverExact) {
+  // Range mode (need_distance == false) runs the tier-4 decision search.
+  // Starved, it may answer "unknown" and then keeps the pair unproven;
+  // any answer it does give must agree with the exact distance. Budgets
+  // above 1 also stop searches after a witness but before its optimality
+  // is proven.
+  CascadeOptions full_opt;
+  full_opt.use_ot_verify = false;  // force bound gaps into tier 4
+  FilterCascade full(full_opt);
+
+  Rng rng(31);
+  int starved_runs = 0;
+  for (int trial = 0; trial < 60; ++trial) {
+    GedPair pair = HardPair(&rng);
+    const GraphInvariants qi = ComputeInvariants(pair.g1);
+    const GraphInvariants gi = ComputeInvariants(pair.g2);
+    for (int tau = 2; tau <= 3; ++tau) {
+      for (long budget : {1L, 2L, 4L, 8L}) {
+        CascadeOptions starved_opt = full_opt;
+        starved_opt.exact_budget = budget;
+        const FilterCascade starved(starved_opt);
+        CascadeStats ss, fs;
+        const CascadeVerdict sv = starved.BoundedDistance(
+            pair.g1, qi, pair.g2, gi, tau, /*need_distance=*/false, &ss);
+        // The oracle: the exact distance from the top-k path.
+        const CascadeVerdict fv = full.BoundedDistance(
+            pair.g1, qi, pair.g2, gi, tau, /*need_distance=*/true, &fs);
+        ASSERT_EQ(fs.exact_incomplete, 0) << "full budget starved?!";
+        EXPECT_EQ(ss.SettledTotal(), ss.candidates);
+        if (ss.exact_incomplete > 0) {
+          ++starved_runs;
+          // Its LB was <= tau, so the oracle escalated past every LB tier
+          // too and proved the distance.
+          ASSERT_TRUE(fv.exact_distance) << "trial " << trial;
+          EXPECT_EQ(ss.exact_incomplete, 1);
+          EXPECT_EQ(ss.exact_calls, 1);
+          // Kept, flagged unproven, and the distance is the feasible upper
+          // bound above tau that sent the pair to tier 4.
+          EXPECT_TRUE(sv.within) << "trial " << trial << " tau " << tau;
+          EXPECT_FALSE(sv.exact_distance) << "trial " << trial;
+          EXPECT_GT(sv.ged, tau) << "trial " << trial;
+          EXPECT_GE(sv.ged, fv.ged) << "trial " << trial;
+        } else {
+          // Decided means proven: a hit carries a witness within tau (or
+          // an exact distance), and membership matches the oracle.
+          EXPECT_EQ(sv.within, fv.within) << "trial " << trial;
+          if (sv.within) {
+            EXPECT_TRUE(sv.ged <= tau || sv.exact_distance)
+                << "trial " << trial;
+          }
+          if (sv.exact_distance) {
+            ASSERT_TRUE(fv.exact_distance);
+            EXPECT_EQ(sv.ged, fv.ged);
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(starved_runs, 0) << "fixture never reached a starved tier 4";
+}
+
+TEST(ExactBudgetTest, PowerLawRangeDecisionsMatchAstar) {
+  // Unlabeled power-law graphs: the label and edge-count bounds are
+  // weak and the Classic upper bound loose, so range pairs reach tier 4,
+  // where the decision search must settle them exactly.
+  Rng rng(404);
+  const Graph query = PowerLawGraph(8, 2, &rng);
+  std::vector<Graph> corpus;
+  for (int i = 0; i < 24; ++i) {
+    SyntheticEditOptions eopt;
+    eopt.num_edits = rng.UniformInt(1, 7);
+    eopt.allow_relabel = false;
+    Graph g = SyntheticEditPair(query, eopt, &rng).g2;
+    if (g.NumNodes() <= 9) corpus.push_back(std::move(g));
+  }
+  for (int i = 0; i < 16; ++i)
+    corpus.push_back(PowerLawGraph(rng.UniformInt(6, 9), 2, &rng));
+  GraphStore store;
+  store.AddAll(corpus);
+
+  constexpr int kTau = 4;
+  std::set<int> truth;
+  std::vector<int> ged(static_cast<size_t>(store.Size()));
+  for (int id = 0; id < store.Size(); ++id) {
+    auto [g1, g2] = OrderBySize(query, store.graph(id));
+    const auto astar = AstarGed(*g1, *g2);
+    ASSERT_TRUE(astar.has_value()) << "id " << id;
+    ged[static_cast<size_t>(id)] = astar->ged;
+    if (astar->ged <= kTau) truth.insert(id);
+  }
+  ASSERT_FALSE(truth.empty());
+  ASSERT_LT(truth.size(), static_cast<size_t>(store.Size()));
+
+  EngineOptions opt;
+  opt.num_threads = 2;
+  const RangeResult got = QueryEngine(&store, opt).Range(query, kTau);
+  EXPECT_GT(got.stats.cascade.decided_exact, 0) << "no pair reached tier 4";
+  EXPECT_EQ(got.stats.cascade.exact_incomplete, 0);
+  EXPECT_EQ(got.stats.cascade.SettledTotal(), got.stats.cascade.candidates);
+  std::set<int> ids;
+  for (const RangeHit& h : got.hits) {
+    ids.insert(h.id);
+    // With nothing left undecided, every hit is proven.
+    EXPECT_TRUE(h.ged <= kTau || h.exact_distance) << "id " << h.id;
+    if (h.exact_distance) {
+      EXPECT_EQ(h.ged, ged[h.id]) << "id " << h.id;
+    }
+  }
+  EXPECT_EQ(ids, truth);
+
+  // Starved: nothing true is dropped, every unproven keep is counted,
+  // and a search stopped after its witness does not claim it exact.
+  for (long budget : {1L, 2L, 4L, 8L, 16L}) {
+    EngineOptions starved_opt = opt;
+    starved_opt.cascade.exact_budget = budget;
+    const RangeResult starved =
+        QueryEngine(&store, starved_opt).Range(query, kTau);
+    EXPECT_EQ(starved.stats.cascade.SettledTotal(),
+              starved.stats.cascade.candidates);
+    std::set<int> starved_ids;
+    long unproven = 0;
+    for (const RangeHit& h : starved.hits) {
+      starved_ids.insert(h.id);
+      if (h.ged > kTau && !h.exact_distance) ++unproven;
+      EXPECT_GE(h.ged, ged[h.id]) << "budget " << budget << " id " << h.id;
+      if (h.exact_distance) {
+        EXPECT_EQ(h.ged, ged[h.id]) << "budget " << budget << " id " << h.id;
+      }
+    }
+    for (int id : truth) {
+      EXPECT_TRUE(starved_ids.count(id))
+          << "budget " << budget << " dropped true hit id " << id;
+    }
+    EXPECT_EQ(unproven, starved.stats.cascade.exact_incomplete)
+        << "budget " << budget;
+  }
 }
 
 TEST(ExactBudgetTest, StarvedEngineKeepsEveryTrueHitAndReconciles) {

@@ -178,9 +178,11 @@ def validate(doc, problems):
         if complete and abs(total - 1.0) > 0.01:
             err(f"tier_fractions sum to {total:.4f}, expected 1", problems)
 
-    rate = require(doc, "cache_hit_rate", (int, float), problems)
-    if rate is not None and not 0.0 <= rate <= 1.0:
-        err(f"cache_hit_rate {rate} outside [0, 1]", problems)
+    for key in ("cache_hit_rate", "unproven_hit_fraction",
+                "exact_exhaustion_rate"):
+        rate = require(doc, key, (int, float), problems)
+        if rate is not None and not 0.0 <= rate <= 1.0:
+            err(f"{key} {rate} outside [0, 1]", problems)
 
     # Optional sections: absent is fine, present means fully valid.
     if "cache" in doc:

@@ -28,9 +28,9 @@
 ///   gen <dataset> <count>    insert synthetic graphs (stable ids printed)
 ///   add <path>               insert every graph of a t/v/e corpus file
 ///   rm <id>                  erase one graph by stable id
-///   save <path>              persist store + compacted index (crc'd)
+///   save <path>              persist the store's graphs (checksummed)
 ///   load <path>              replace the store from a persisted file
-///                            (adopting its index section, if present)
+///                            (the index rebuilds on the next query)
 ///   range <tau> <n>          serve n synthetic queries, one at a time
 ///   topk <k> <n>             same, top-k
 ///   batch <tau> <n>          serve n queries as one RangeBatch pool pass
@@ -246,16 +246,14 @@ int RunRepl(int threads) {
     } else if (op == "save") {
       std::string path, error;
       cmd >> path;
-      // Passing the engine's index persists its compacted VP-tree, so a
-      // later `load` skips the index rebuild.
-      if (SaveGraphStore(store, path, &error, engine.index()))
+      if (SaveGraphStore(store, path, &error))
         std::printf("saved %d graphs to %s\n", store.Size(), path.c_str());
       else
         std::printf("error: %s\n", error.c_str());
     } else if (op == "load") {
       std::string path, error;
       cmd >> path;
-      if (LoadGraphStore(&store, path, &error, engine.index()))
+      if (LoadGraphStore(&store, path, &error))
         std::printf("loaded %d graphs from %s (epoch %llu)\n", store.Size(),
                     path.c_str(),
                     static_cast<unsigned long long>(store.Epoch()));

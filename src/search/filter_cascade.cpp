@@ -87,15 +87,13 @@ CascadeVerdict FilterCascade::BoundedDistance(const Graph& query,
   auto [g1, g2] = OrderBySize(query, g);
 
   // --- tier 1: BRANCH bipartite lower bound ----------------------------
-  if (opt_.use_branch_bound) {
-    lb = std::max(lb, static_cast<int>(
-                          std::ceil(BranchLowerBound(*g1, *g2) - 1e-9)));
-    if (lb > tau) {
-      stats->pruned_branch++;
-      return settle(CascadeTier::kBranch);
-    }
-    mark(CascadeTier::kBranch);
+  lb = std::max(
+      lb, static_cast<int>(std::ceil(BranchLowerBound(*g1, *g2) - 1e-9)));
+  if (lb > tau) {
+    stats->pruned_branch++;
+    return settle(CascadeTier::kBranch);
   }
+  mark(CascadeTier::kBranch);
 
   // --- tier 2: Classic heuristic upper bound ---------------------------
   ub = ClassicGed(*g1, *g2).ged;

@@ -44,10 +44,9 @@
 namespace otged {
 
 struct CascadeOptions {
-  bool use_branch_bound = true;  ///< enable the tier-1 bipartite LB
-  bool use_ot_verify = true;     ///< enable the tier-3 GEDGW refinement
-  int kbest_k = 8;               ///< path-search width for the OT tier
-  int gw_iters = 20;             ///< conditional-gradient iterations
+  bool use_ot_verify = true;  ///< enable the tier-3 GEDGW refinement
+  int kbest_k = 8;             ///< path-search width for the OT tier
+  int gw_iters = 20;           ///< conditional-gradient iterations
   /// Tier-4 node-expansion budget per pair; a pair whose search exhausts
   /// it undecided is kept unproven.
   long exact_budget = 20'000'000;

@@ -292,16 +292,4 @@ bool GraphStore::Restore(std::vector<std::pair<int, Graph>> entries,
   return true;
 }
 
-std::vector<int> GraphStore::ErasedSince(size_t* cursor) const {
-  OTGED_DCHECK(cursor != nullptr);
-  MutexLock lock(mu_);
-  std::vector<int> out;
-  if (*cursor < erase_log_.size()) {
-    out.assign(erase_log_.begin() + static_cast<long>(*cursor),
-               erase_log_.end());
-    *cursor = erase_log_.size();
-  }
-  return out;
-}
-
 }  // namespace otged

@@ -170,6 +170,17 @@ class GraphStore {
   /// Restore land in between, whose retired ids the caller would consume
   /// now yet whose rebinding it cannot see — entries it inserts against
   /// the (older) pinned snapshot would then never be invalidated.
+  ///
+  /// `erased` receives the ids erased since *cursor and the cursor
+  /// advances; starting from a zero cursor replays the full erase
+  /// history. The log is monotone, so independent consumers each keep
+  /// their own cursor. Ids are never reused, which is why consumers may
+  /// invalidate lazily (a stale cache entry can never alias a new graph).
+  /// The log grows for the store's lifetime — one int per Erase, plus the
+  /// prior corpus on Restore — a deliberate trade-off for cursor
+  /// independence; under sustained churn measured in hundreds of millions
+  /// of erases, plan to recycle the store (e.g. via save/load into a
+  /// fresh one).
   std::shared_ptr<const StoreSnapshot> SnapshotAndErased(
       size_t* cursor, std::vector<int>* erased) const EXCLUDES(mu_);
 
@@ -187,17 +198,6 @@ class GraphStore {
   /// Returns false (store unchanged) when the id sequence is invalid.
   bool Restore(std::vector<std::pair<int, Graph>> entries, int next_id)
       EXCLUDES(mu_);
-
-  /// Appends the ids erased since *cursor to the result and advances the
-  /// cursor; starting from a zero cursor replays the full erase history.
-  /// The log is monotone, so independent consumers each keep their own
-  /// cursor. Ids are never reused, which is why consumers may invalidate
-  /// lazily (a stale cache entry can never alias a new graph). The log
-  /// grows for the store's lifetime — one int per Erase, plus the prior
-  /// corpus on Restore — a deliberate trade-off for cursor independence;
-  /// under sustained churn measured in hundreds of millions of erases,
-  /// plan to recycle the store (e.g. via save/load into a fresh one).
-  std::vector<int> ErasedSince(size_t* cursor) const EXCLUDES(mu_);
 
  private:
   mutable Mutex mu_;

@@ -10,7 +10,7 @@ namespace {
 
 constexpr const char* kRebuildsName = "otged_index_rebuilds_total";
 constexpr const char* kRebuildsHelp =
-    "full VP-tree builds (initial, overlay overflow, or compaction)";
+    "full VP-tree builds (initial or overlay overflow)";
 
 /// Run-length encodes an ascending label multiset.
 std::vector<std::pair<Label, int>> RleLabels(
@@ -24,14 +24,6 @@ std::vector<std::pair<Label, int>> RleLabels(
     i = j;
   }
   return rle;
-}
-
-void DigestPod(uint64_t* h, uint64_t v) {
-  // FNV-1a over the value's 8 bytes.
-  for (int i = 0; i < 8; ++i) {
-    *h ^= (v >> (8 * i)) & 0xffu;
-    *h *= 1099511628211ull;
-  }
 }
 
 }  // namespace
@@ -96,41 +88,6 @@ void IndexView::LbRangeCandidates(const GraphInvariants& qi, int tau,
   stats->vptree_us += t1 - t0;
 }
 
-uint64_t IndexView::StructuralDigest() const {
-  uint64_t h = 14695981039346656037ull;
-  DigestPod(&h, static_cast<uint64_t>(wl_prefix_bits_));
-  DigestPod(&h, static_cast<uint64_t>(size_));
-  for (const auto& [key, part] : partitions_) {
-    DigestPod(&h, key);
-    DigestPod(&h, part->members.size());
-    for (const auto& e : part->members)
-      DigestPod(&h, static_cast<uint64_t>(e->id));
-  }
-  DigestPod(&h, vp_->nodes().size());
-  for (size_t i = 0; i < vp_->nodes().size(); ++i) {
-    const VpTreeNode& n = vp_->nodes()[i];
-    DigestPod(&h, static_cast<uint64_t>(vp_->entries()[i]->id));
-    DigestPod(&h, static_cast<uint64_t>(static_cast<int64_t>(n.r_in_max)));
-    DigestPod(&h, static_cast<uint64_t>(static_cast<int64_t>(n.r_out_min)));
-    DigestPod(&h, static_cast<uint64_t>(n.inner));
-  }
-  DigestPod(&h, delta_.size());
-  for (const auto& e : delta_) DigestPod(&h, static_cast<uint64_t>(e->id));
-  DigestPod(&h, dead_.size());
-  for (const int id : dead_) DigestPod(&h, static_cast<uint64_t>(id));
-  return h;
-}
-
-PersistedIndex MakePersistedIndex(const IndexView& view) {
-  PersistedIndex out;
-  out.wl_prefix_bits = view.wl_prefix_bits_;
-  out.nodes = view.vp_->nodes();
-  out.node_ids.reserve(out.nodes.size());
-  for (const auto& e : view.vp_->entries()) out.node_ids.push_back(e->id);
-  out.digest = view.StructuralDigest();
-  return out;
-}
-
 GraphIndex::GraphIndex(const IndexOptions& opt) : opt_(opt) {}
 
 std::shared_ptr<const IndexView> GraphIndex::ViewFor(
@@ -143,60 +100,6 @@ std::shared_ptr<const IndexView> GraphIndex::ViewFor(
       (view_ == nullptr) ? BuildFull(snap) : Advance(snap);
   Install(snap, view);
   return view;
-}
-
-std::shared_ptr<const IndexView> GraphIndex::CompactViewFor(
-    const std::shared_ptr<const StoreSnapshot>& snap) {
-  MutexLock lock(mu_);
-  if (view_ == nullptr || base_ == nullptr ||
-      base_->epoch() != snap->epoch() || !view_->OverlayEmpty()) {
-    Install(snap, BuildFull(snap));
-  }
-  return view_;
-}
-
-bool GraphIndex::AdoptPersisted(
-    const std::shared_ptr<const StoreSnapshot>& snap,
-    const PersistedIndex& persisted, std::string* error) {
-  MutexLock lock(mu_);
-  if (persisted.wl_prefix_bits != opt_.wl_prefix_bits) {
-    if (error != nullptr) *error = "index config mismatch (wl_prefix_bits)";
-    return false;
-  }
-  if (persisted.node_ids.size() !=
-          static_cast<size_t>(snap->Size()) ||
-      persisted.nodes.size() != persisted.node_ids.size()) {
-    if (error != nullptr) *error = "index node count != store size";
-    return false;
-  }
-  std::vector<std::shared_ptr<const StoreEntry>> entries;
-  entries.reserve(persisted.node_ids.size());
-  for (const int id : persisted.node_ids) {
-    const int slot = snap->SlotOf(id);
-    if (slot < 0) {
-      if (error != nullptr) *error = "index references unknown graph id";
-      return false;
-    }
-    entries.push_back(snap->entry_ptrs()[static_cast<size_t>(slot)]);
-  }
-  auto vp = VpTree::FromPersisted(std::move(entries), persisted.nodes);
-  if (vp == nullptr) {
-    if (error != nullptr) *error = "malformed VP-tree layout";
-    return false;
-  }
-  auto view = std::shared_ptr<IndexView>(new IndexView);
-  view->epoch_ = snap->epoch();
-  view->size_ = snap->Size();
-  view->wl_prefix_bits_ = opt_.wl_prefix_bits;
-  view->partitions_ =
-      BuildPartitionMap(snap->entry_ptrs(), opt_.wl_prefix_bits);
-  view->vp_ = std::move(vp);
-  if (view->StructuralDigest() != persisted.digest) {
-    if (error != nullptr) *error = "index digest mismatch";
-    return false;
-  }
-  Install(snap, std::move(view));
-  return true;
 }
 
 std::shared_ptr<const IndexView> GraphIndex::BuildFull(

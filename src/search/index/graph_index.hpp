@@ -34,7 +34,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -56,8 +55,6 @@ struct IndexOptions {
   double vp_rebuild_fraction = 0.15;
   int vp_rebuild_min = 64;
 };
-
-struct PersistedIndex;
 
 /// The index at one store epoch. Immutable; safe to share across
 /// threads; valid for as long as the shared_ptr is held.
@@ -86,19 +83,10 @@ class IndexView {
   void LbRangeCandidates(const GraphInvariants& qi, int tau,
                          std::vector<int>* out_ids, IndexStats* stats) const;
 
-  /// Order-independent structural fingerprint of the whole view
-  /// (config, partitions, VP-tree layout, overlay). Equal digests mean
-  /// equal candidate generation behavior; used to verify that a
-  /// persisted index matches a from-scratch rebuild.
-  uint64_t StructuralDigest() const;
-
   bool OverlayEmpty() const { return delta_.empty() && dead_.empty(); }
-  const VpTree& vp_tree() const { return *vp_; }
-  const PartitionMap& partitions() const { return partitions_; }
 
  private:
   friend class GraphIndex;
-  friend PersistedIndex MakePersistedIndex(const IndexView& view);
 
   uint64_t epoch_ = 0;
   int size_ = 0;
@@ -111,18 +99,6 @@ class IndexView {
   std::vector<int> dead_;
 };
 
-/// Serialized form of a *compact* view's VP-tree (partitions and
-/// postings are cheap to rebuild from the store payload; the tree is the
-/// only part worth persisting). The digest pins the full rebuilt view.
-struct PersistedIndex {
-  int wl_prefix_bits = 16;
-  std::vector<int> node_ids;  ///< preorder vantage ids, parallel to nodes
-  std::vector<VpTreeNode> nodes;
-  uint64_t digest = 0;
-};
-
-PersistedIndex MakePersistedIndex(const IndexView& view);
-
 /// Maintains the current IndexView for a store. Thread-safe; queries in
 /// flight keep whatever view they pinned.
 class GraphIndex {
@@ -133,23 +109,6 @@ class GraphIndex {
   /// view as needed.
   std::shared_ptr<const IndexView> ViewFor(
       const std::shared_ptr<const StoreSnapshot>& snap) EXCLUDES(mu_);
-
-  /// Like ViewFor, but guarantees an empty overlay (forces a VP-tree
-  /// rebuild if needed) so the view equals a from-scratch build — the
-  /// form that is persisted.
-  std::shared_ptr<const IndexView> CompactViewFor(
-      const std::shared_ptr<const StoreSnapshot>& snap) EXCLUDES(mu_);
-
-  /// Installs a persisted index for `snap` after validating structure
-  /// and digest against a rebuild of the derived levels. On failure
-  /// nothing is installed — any previously cached view stays as it was
-  /// (the next ViewFor advances or rebuilds it for the snapshot it is
-  /// handed) — and *error says why.
-  bool AdoptPersisted(const std::shared_ptr<const StoreSnapshot>& snap,
-                      const PersistedIndex& persisted, std::string* error)
-      EXCLUDES(mu_);
-
-  const IndexOptions& options() const { return opt_; }
 
  private:
   std::shared_ptr<const IndexView> BuildFull(

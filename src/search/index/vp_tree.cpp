@@ -11,20 +11,6 @@ bool IdIsDead(const std::vector<int>& dead, int id) {
   return std::binary_search(dead.begin(), dead.end(), id);
 }
 
-/// Validates that nodes[pos..pos+size) forms a well-shaped preorder
-/// subtree (child sizes fit, radii ordered when both children exist).
-bool ValidSubtree(const std::vector<VpTreeNode>& nodes, int pos, int size) {
-  if (size <= 0) return size == 0;
-  const VpTreeNode& n = nodes[static_cast<size_t>(pos)];
-  const int rest = size - 1;
-  if (n.inner < 0 || n.inner > rest) return false;
-  const int outer = rest - n.inner;
-  if (n.inner > 0 && n.r_in_max < 0) return false;
-  if (outer > 0 && n.r_out_min < 0) return false;
-  return ValidSubtree(nodes, pos + 1, n.inner) &&
-         ValidSubtree(nodes, pos + 1 + n.inner, outer);
-}
-
 }  // namespace
 
 std::shared_ptr<const VpTree> VpTree::Build(
@@ -83,24 +69,6 @@ void VpTree::BuildRange(
       rest > inner ? by_dist[static_cast<size_t>(inner)].first : -1;
   BuildRange(scratch, lo + 1, lo + 1 + inner);
   BuildRange(scratch, lo + 1 + inner, hi);
-}
-
-std::shared_ptr<const VpTree> VpTree::FromPersisted(
-    std::vector<std::shared_ptr<const StoreEntry>> entries,
-    std::vector<VpTreeNode> nodes) {
-  if (entries.size() != nodes.size()) return nullptr;
-  if (!ValidSubtree(nodes, 0, static_cast<int>(nodes.size()))) return nullptr;
-  auto tree = std::shared_ptr<VpTree>(new VpTree);
-  tree->nodes_ = std::move(nodes);
-  tree->entries_ = std::move(entries);
-  tree->sorted_ids_.reserve(tree->entries_.size());
-  for (const auto& e : tree->entries_) tree->sorted_ids_.push_back(e->id);
-  std::sort(tree->sorted_ids_.begin(), tree->sorted_ids_.end());
-  // Duplicate ids cannot come from a snapshot; reject them.
-  if (std::adjacent_find(tree->sorted_ids_.begin(),
-                         tree->sorted_ids_.end()) != tree->sorted_ids_.end())
-    return nullptr;
-  return tree;
 }
 
 void VpTree::Range(const GraphInvariants& query, int tau,

@@ -22,9 +22,9 @@
 /// on how the builder split a node: the builder always halves the
 /// subtree, keeping the tree balanced even on tie-heavy metrics.
 ///
-/// The tree is immutable after Build/FromPersisted; views layer recent
-/// inserts (a linear delta list) and erases (a dead-id set) on top and
-/// rebuild when the overlay grows past a configured fraction.
+/// The tree is immutable after Build; views layer recent inserts (a
+/// linear delta list) and erases (a dead-id set) on top and rebuild when
+/// the overlay grows past a configured fraction.
 #ifndef OTGED_SEARCH_INDEX_VP_TREE_HPP_
 #define OTGED_SEARCH_INDEX_VP_TREE_HPP_
 
@@ -38,7 +38,7 @@
 namespace otged {
 
 /// One VP-tree node in preorder layout: the node at position `p` with
-/// subtree size `s` stores entries()[p] as its vantage, its inner child
+/// subtree size `s` stores entries_[p] as its vantage, its inner child
 /// at [p+1, p+1+inner] and its outer child at [p+1+inner, p+s).
 struct VpTreeNode {
   int32_t r_in_max = -1;  ///< max metric(vantage, x) over the inner child
@@ -53,13 +53,6 @@ class VpTree {
   /// (distance, id) and halved. O(n log^2 n) metric evaluations.
   static std::shared_ptr<const VpTree> Build(
       std::vector<std::shared_ptr<const StoreEntry>> entries);
-
-  /// Reconstructs a persisted tree: `entries[i]` is the node-i entry (in
-  /// preorder layout) and `nodes[i]` carries its radii/split. Returns
-  /// nullptr if the node array is not a structurally valid preorder tree.
-  static std::shared_ptr<const VpTree> FromPersisted(
-      std::vector<std::shared_ptr<const StoreEntry>> entries,
-      std::vector<VpTreeNode> nodes);
 
   int Size() const { return static_cast<int>(nodes_.size()); }
 
@@ -80,12 +73,6 @@ class VpTree {
            const std::vector<int>& dead,
            std::vector<std::pair<int, int>>* best, long* visited) const;
 
-  /// Preorder nodes (for persistence and digests).
-  const std::vector<VpTreeNode>& nodes() const { return nodes_; }
-  /// Entry of node i (preorder layout, parallel to nodes()).
-  const std::vector<std::shared_ptr<const StoreEntry>>& entries() const {
-    return entries_;
-  }
   /// All contained ids, ascending (for overlay membership tests).
   const std::vector<int>& sorted_ids() const { return sorted_ids_; }
 

@@ -176,8 +176,7 @@ class QueryEngine {
   /// Current bound-cache occupancy (proven-exact pairs retained).
   size_t CacheSize() const { return cache_.Size(); }
   /// The candidate-generation index, or nullptr when use_index is off.
-  /// Exposed for persistence (store_serialize saves/adopts through it)
-  /// and for inspection; serving maintains it automatically.
+  /// Exposed for inspection; serving maintains it automatically.
   GraphIndex* index() const { return index_.get(); }
 
  private:

@@ -17,12 +17,12 @@
 ///             graph          (canonical binary encoding, graph_io)
 ///             invariants     (n, m int32; wl_hash uint64;
 ///                             n int32 labels; n int32 degrees)
-///     uint8   has_index      (v2+: 1 iff an index section follows)
-///     index:  int32  wl_prefix_bits
+///     uint8   has_index      (v2+: always written 0)
+///     index:  (only when has_index == 1, as older writers emitted it)
+///             int32  wl_prefix_bits (1..64)
 ///             uint64 node count (== entry count)
-///             node*: int64 vantage id, int32 r_in_max, int32 r_out_min,
-///                    int32 inner        (VP-tree preorder layout)
-///             uint64 structural digest of the full rebuilt view
+///             node*: int64 id, int32 x3     (20 bytes each)
+///             uint64 digest
 ///   uint64  FNV-1a checksum of the payload bytes
 ///
 /// Load validates magic, version and checksum, then *recomputes* every
@@ -31,16 +31,9 @@
 /// bit-identical to a rebuild from the same graphs, and silent
 /// corruption of the graphs cannot slip through.
 ///
-/// The index section persists only the VP-tree (partitions and postings
-/// are derived data, rebuilt from the entries on adoption); the adopted
-/// view's StructuralDigest must match the digest stored in the same
-/// file, which — because saving always compacts the view first — the
-/// writer computed from a from-scratch-equivalent view. This check is
-/// file-internal consistency, not a re-derivation: the loader never
-/// rebuilds the tree to compare, so accidental corruption is caught (by
-/// it and the FNV checksum) but a consistent file from a buggy writer
-/// would be adopted. On any index inconsistency the section is dropped
-/// and the index rebuilds from the (fully verified) graphs instead.
+/// The file holds graphs only. An index section written by an older
+/// version is checked for a well-formed header and length, then skipped;
+/// the engine's index rebuilds from the loaded snapshot on first query.
 #ifndef OTGED_SEARCH_STORE_SERIALIZE_HPP_
 #define OTGED_SEARCH_STORE_SERIALIZE_HPP_
 
@@ -48,32 +41,22 @@
 #include <string>
 
 #include "search/graph_store.hpp"
-#include "search/index/graph_index.hpp"
 
 namespace otged {
 
 inline constexpr uint32_t kStoreFormatVersion = 2;
 
-/// Serializes the store's current snapshot to `path`. When `index` is
-/// non-null its compacted view for that snapshot is saved alongside (a
-/// v2 index section). Returns false on I/O failure (with `error`
-/// describing it).
+/// Serializes the store's current snapshot to `path`. Returns false on
+/// I/O failure (with `error` describing it).
 bool SaveGraphStore(const GraphStore& store, const std::string& path,
-                    std::string* error = nullptr,
-                    GraphIndex* index = nullptr);
+                    std::string* error = nullptr);
 
 /// Replaces `store`'s contents with the file's. On any failure (I/O, bad
 /// magic/version, checksum mismatch, malformed entries, invariant
-/// mismatch, unparseable index section) returns false and leaves the
-/// store untouched. When `index` is non-null and the file carries an
-/// index section with matching configuration, the persisted VP-tree is
-/// adopted into `index` after validating its shape and digest against
-/// the restored snapshot; a config mismatch or a failed validation
-/// skips adoption without failing the load (the store is already fully
-/// verified, and the next query rebuilds the index from it).
+/// mismatch, malformed index section) returns false and leaves the store
+/// untouched.
 bool LoadGraphStore(GraphStore* store, const std::string& path,
-                    std::string* error = nullptr,
-                    GraphIndex* index = nullptr);
+                    std::string* error = nullptr);
 
 }  // namespace otged
 

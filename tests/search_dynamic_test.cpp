@@ -93,22 +93,41 @@ TEST(DynamicGraphStoreTest, SnapshotIsolation) {
   EXPECT_FALSE(store.Contains(1));
 }
 
-TEST(DynamicGraphStoreTest, ErasedSinceReplaysTheLog) {
+TEST(DynamicGraphStoreTest, SnapshotAndErasedReplaysTheLog) {
   Rng rng(13);
   GraphStore store;
   for (int i = 0; i < 6; ++i) store.Insert(AidsLikeGraph(&rng, 3, 6));
   size_t cursor = 0;
-  EXPECT_TRUE(store.ErasedSince(&cursor).empty());
+  std::vector<int> erased = {99};  // stale contents are cleared
+  auto snap = store.SnapshotAndErased(&cursor, &erased);
+  EXPECT_TRUE(erased.empty());
+  EXPECT_EQ(snap->Size(), 6);
 
   store.Erase(3);
   store.Erase(0);
-  EXPECT_EQ(store.ErasedSince(&cursor), (std::vector<int>{3, 0}));
-  EXPECT_TRUE(store.ErasedSince(&cursor).empty());  // cursor advanced
+  snap = store.SnapshotAndErased(&cursor, &erased);
+  EXPECT_EQ(erased, (std::vector<int>{3, 0}));
+  EXPECT_EQ(snap->epoch(), store.Epoch());  // pinned with the drain
+  EXPECT_EQ(snap->Size(), 4);
+  store.SnapshotAndErased(&cursor, &erased);
+  EXPECT_TRUE(erased.empty());  // cursor advanced
   store.Erase(5);
-  EXPECT_EQ(store.ErasedSince(&cursor), (std::vector<int>{5}));
+  store.SnapshotAndErased(&cursor, &erased);
+  EXPECT_EQ(erased, (std::vector<int>{5}));
 
   size_t fresh_cursor = 0;  // independent consumers replay from zero
-  EXPECT_EQ(store.ErasedSince(&fresh_cursor), (std::vector<int>{3, 0, 5}));
+  store.SnapshotAndErased(&fresh_cursor, &erased);
+  EXPECT_EQ(erased, (std::vector<int>{3, 0, 5}));
+  EXPECT_EQ(fresh_cursor, cursor);
+
+  // Restore retires every id present before it, even ids it rebinds.
+  std::vector<std::pair<int, Graph>> entries;
+  entries.emplace_back(2, AidsLikeGraph(&rng, 3, 6));
+  entries.emplace_back(8, AidsLikeGraph(&rng, 3, 6));
+  ASSERT_TRUE(store.Restore(std::move(entries), 9));
+  snap = store.SnapshotAndErased(&cursor, &erased);
+  EXPECT_EQ(erased, (std::vector<int>{1, 2, 4}));
+  EXPECT_EQ(snap->Size(), 2);
 }
 
 TEST(DynamicGraphStoreTest, RestoreRejectsNonIncreasingIds) {
@@ -130,9 +149,12 @@ TEST(DynamicGraphStoreTest, RestoreRejectsNonIncreasingIds) {
   EXPECT_TRUE(store.Contains(3));
   EXPECT_TRUE(store.Contains(9));
   EXPECT_EQ(store.NextId(), 10);  // max(old counter, given, max id + 1)
-  // The old corpus' ids were logged so caches can drop them.
+  // The old corpus' ids were logged so caches can drop them; the
+  // rejected Restore retired nothing.
   size_t cursor = 0;
-  EXPECT_EQ(store.ErasedSince(&cursor), (std::vector<int>{0}));
+  std::vector<int> erased;
+  store.SnapshotAndErased(&cursor, &erased);
+  EXPECT_EQ(erased, (std::vector<int>{0}));
 }
 
 TEST(BoundCacheTest, InsertLookupEraseAndEvict) {

@@ -8,18 +8,23 @@
 ///   - Inserting graphs and erasing them again restores the store to a
 ///     state that answers every query identically (modulo the retired
 ///     ids, which were never part of the original answers).
-///   - save -> load -> query equals rebuild -> query, bit for bit.
+///   - save -> load -> query equals rebuild -> query, bit for bit, also
+///     when the file carries an index section from an older writer.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <iterator>
 #include <numeric>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "exact/branch_and_bound.hpp"
 #include "graph/generator.hpp"
+#include "graph/graph_io.hpp"
 #include "heuristics/bipartite.hpp"
 #include "search/query_engine.hpp"
 #include "search/store_serialize.hpp"
@@ -74,6 +79,29 @@ void ExpectSameTopK(const TopKResult& a, const TopKResult& b,
     EXPECT_EQ(a.hits[i].exact_distance, b.hits[i].exact_distance)
         << context << " hit " << i;
   }
+}
+
+std::string ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+/// Writes a store file after recomputing its trailing payload checksum
+/// (the payload sits between the 16-byte header and the 8-byte sum).
+void WriteRechecksummed(const std::string& path, std::string file) {
+  const uint64_t checksum =
+      Fnv1a64(std::string_view(file).substr(16, file.size() - 24));
+  std::memcpy(&file[file.size() - 8], &checksum, sizeof(checksum));
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(file.data(), static_cast<std::streamsize>(file.size()));
+}
+
+template <typename T>
+void AppendBytes(std::string* buf, T v) {
+  char bytes[sizeof(T)];
+  std::memcpy(bytes, &v, sizeof(T));
+  buf->append(bytes, sizeof(T));
 }
 
 TEST(SearchMetamorphicTest, ExactGedIsPermutationInvariant) {
@@ -221,6 +249,71 @@ TEST(SearchMetamorphicTest, SaveLoadQueryEqualsRebuildQuery) {
   // Inserting after the reload keeps ids fresh: never below the counter.
   Graph extra = RandomConnectedGraph(4, 1, 3, &rng);
   EXPECT_EQ(loaded.Insert(extra), store.NextId());
+  std::remove(path.c_str());
+}
+
+/// Older writers could append a persisted VP-tree after the entries
+/// (has_index = 1). The loader checks that section's shape and skips
+/// it: the file serves the same answers, and a truncated section still
+/// fails the load without touching the store.
+TEST(SearchMetamorphicTest, LoadSkipsAnOlderIndexSection) {
+  GraphStore store = MakeStore(24, 3, 151);
+  EXPECT_TRUE(store.Erase(6));
+  const std::string path =
+      ::testing::TempDir() + "/store_index_section.otgstore";
+  std::string error;
+  ASSERT_TRUE(SaveGraphStore(store, path, &error)) << error;
+
+  // A fresh file is version 2 and ends its payload with has_index = 0.
+  std::string file = ReadFileBytes(path);
+  ASSERT_GE(file.size(), 25u);
+  uint32_t version = 0;
+  std::memcpy(&version, file.data() + 8, sizeof(version));
+  EXPECT_EQ(version, 2u);
+  const size_t flag_at = file.size() - 9;
+  ASSERT_EQ(file[flag_at], 0);
+
+  // Splice in a well-formed section in place of the flag: bits, node
+  // count == entry count, then per node an id and three int32 fields
+  // (a valid preorder chain), then a digest.
+  std::string section;
+  AppendBytes<uint8_t>(&section, 1);
+  AppendBytes<int32_t>(&section, 16);
+  auto snap = store.Snapshot();
+  AppendBytes<uint64_t>(&section, static_cast<uint64_t>(snap->Size()));
+  for (int slot = 0; slot < snap->Size(); ++slot) {
+    AppendBytes<int64_t>(&section, snap->id(slot));
+    AppendBytes<int32_t>(&section, 0);   // r_in_max
+    AppendBytes<int32_t>(&section, -1);  // r_out_min
+    AppendBytes<int32_t>(&section, snap->Size() - 1 - slot);  // inner
+  }
+  AppendBytes<uint64_t>(&section, 0x0123456789abcdefull);  // digest
+  const std::string with_index =
+      file.substr(0, flag_at) + section + file.substr(flag_at + 1);
+  WriteRechecksummed(path, with_index);
+
+  GraphStore loaded;
+  ASSERT_TRUE(LoadGraphStore(&loaded, path, &error)) << error;
+  ASSERT_EQ(loaded.Size(), store.Size());
+  EXPECT_EQ(loaded.NextId(), store.NextId());
+  Rng rng(157);
+  QueryEngine original(&store, {}), reloaded(&loaded, {});
+  for (int trial = 0; trial < 3; ++trial) {
+    Graph query = RandomConnectedGraph(6, 2, 3, &rng);
+    ExpectSameRange(original.Range(query, 3), reloaded.Range(query, 3),
+                    "index section range " + std::to_string(trial));
+    ExpectSameTopK(original.TopK(query, 5), reloaded.TopK(query, 5),
+                   "index section topk " + std::to_string(trial));
+  }
+
+  // Cut the last node and the digest off the section: a bad length.
+  std::string truncated = with_index;
+  truncated.erase(truncated.size() - 8 - 28, 28);
+  WriteRechecksummed(path, truncated);
+  GraphStore rejected;
+  EXPECT_FALSE(LoadGraphStore(&rejected, path, &error));
+  EXPECT_NE(error.find("index"), std::string::npos) << error;
+  EXPECT_EQ(rejected.Size(), 0);  // failed load leaves the store untouched
   std::remove(path.c_str());
 }
 

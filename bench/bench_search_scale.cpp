@@ -20,13 +20,14 @@
 ///                   same snapshot); hit lists must match byte for byte
 ///                   (id, distance, exactness). GATE: zero mismatches.
 ///   4. CHURN      — bulk inserts plus random erases against the same
-///                   store; the incremental index (no full rebuild at
-///                   this churn level) is re-verified against the
-///                   linear scan. GATE: zero mismatches.
+///                   store; the incremental index (touched partitions
+///                   rebuilt, the rest shared) is re-verified against
+///                   the linear scan. GATE: zero mismatches.
 ///   5. RECORD     — QPS and p50/p95/p99 latency over the indexed
 ///                   serving sections, persisted as `BENCH_scale.json`
 ///                   (schema in src/telemetry/bench_report.hpp, with
-///                   the optional "index" section).
+///                   the optional "index" section, which also carries
+///                   the section-1 index build time).
 ///
 /// Every gate failure flips the exit code to 1; CI runs `--smoke`.
 ///
@@ -89,7 +90,7 @@ int main(int argc, char** argv) {
   // ROADMAP: anytime top-k). The top-k probes therefore run k=1 on
   // 1-edit queries — the seed refinement proves a cap of 1 and the
   // LB-range collapses — which still drives the full indexed top-k
-  // path (VP seeding, cap, LB-range verify) end to end at scale;
+  // path (indexed seeding, cap, LB-range verify) end to end at scale;
   // k>=2 parity is covered corpus-wide by the unit and hammer tests.
   const int verify_range = smoke ? 16 : 97;
   const int verify_topk = smoke ? 4 : 3;
@@ -267,9 +268,9 @@ int main(int argc, char** argv) {
   failed = failed || mismatched != 0;
 
   // ------------------------------------------------- 4. mutation churn
-  // Bulk insert + random erases; the index advances incrementally (the
-  // churn stays below the rebuild threshold at full scale) and must
-  // still agree with the linear scan.
+  // Bulk insert + random erases; the index advances incrementally (only
+  // the touched partitions are rebuilt) and must still agree with the
+  // linear scan.
   std::printf("== churn: +%d inserts, -%d erases, then %d re-verified "
               "queries ==\n",
               churn_n, churn_n, churn_verify);
@@ -358,6 +359,7 @@ int main(int argc, char** argv) {
       static_cast<double>(frac_total.label_pruned) / all_scanned;
   report.index_vptree_prune_fraction =
       static_cast<double>(frac_total.vptree_pruned) / all_scanned;
+  report.index_build_s = build_s;
 
   std::printf("== record: %.2f queries/s | latency p50 %.2f ms, p95 "
               "%.2f ms, p99 %.2f ms | unproven hits %.4f, exact "

@@ -123,14 +123,13 @@ void PrintMetricsSnapshot() {
                     static_cast<double>(candidates));
   std::printf("\n");
   // Gauges track the current index view; zero when no index is built.
-  long index_size = 0, index_partitions = 0, index_overlay = 0;
+  long index_size = 0, index_partitions = 0;
   for (const auto& g : snap.gauges) {
     if (g.name == "otged_index_size") index_size = g.value;
     if (g.name == "otged_index_partitions") index_partitions = g.value;
-    if (g.name == "otged_index_vp_overlay") index_overlay = g.value;
   }
-  std::printf("index: %ld graphs in %ld partitions, vp overlay %ld\n",
-              index_size, index_partitions, index_overlay);
+  std::printf("index: %ld graphs in %ld partitions\n", index_size,
+              index_partitions);
 }
 
 /// `search_cli metrics`: serve a workload, then prove the exported

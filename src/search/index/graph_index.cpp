@@ -8,10 +8,6 @@ namespace otged {
 
 namespace {
 
-constexpr const char* kRebuildsName = "otged_index_rebuilds_total";
-constexpr const char* kRebuildsHelp =
-    "full VP-tree builds (initial or overlay overflow)";
-
 /// Run-length encodes an ascending label multiset.
 std::vector<std::pair<Label, int>> RleLabels(
     const std::vector<Label>& sorted_labels) {
@@ -51,40 +47,80 @@ void IndexView::TopKSeeds(const GraphInvariants& qi, size_t k,
                           std::vector<std::pair<int, int>>* out,
                           IndexStats* stats) const {
   const double t0 = telemetry::NowUs();
-  long visited = 0;
+  long evaluated = 0;
   out->clear();
-  out->reserve(delta_.size() + k);
-  for (const auto& e : delta_) {
-    ++visited;
-    out->emplace_back(InvariantLowerBound(qi, e->invariants), e->id);
+  // Partitions in ascending bound order (ties keep (n, m) order).
+  std::vector<std::pair<int, const IndexPartition*>> order;
+  order.reserve(partitions_.size());
+  for (const auto& [key, part] : partitions_)
+    order.emplace_back(PartitionLowerBound(*part, qi), part.get());
+  std::stable_sort(order.begin(), order.end(),
+                   [](const auto& a, const auto& b) {
+                     return a.first < b.first;
+                   });
+  const auto query_rle = RleLabels(qi.sorted_labels);
+  std::vector<int32_t> label_bounds;
+  // `out` is a max-heap on (bound, id): its front is the k-th best so
+  // far. A member can only enter with a pair below the front, and its
+  // pair is never below (max(partition bound, label bound), id).
+  for (const auto& [part_bound, part] : order) {
+    // Every later member's bound is >= part_bound; at equality a member
+    // with a smaller id may still enter.
+    if (out->size() == k && (k == 0 || part_bound > out->front().first))
+      break;
+    PartitionLabelBounds(*part, qi, query_rle, &label_bounds);
+    for (size_t slot = 0; slot < part->members.size(); ++slot) {
+      const StoreEntry& e = *part->members[slot];
+      const bool full = out->size() == k;
+      if (full && std::make_pair(std::max(part_bound, label_bounds[slot]),
+                                 e.id) >= out->front())
+        continue;
+      ++evaluated;
+      const std::pair<int, int> cand(InvariantLowerBound(qi, e.invariants),
+                                     e.id);
+      if (!full) {
+        out->push_back(cand);
+        std::push_heap(out->begin(), out->end());
+      } else if (cand < out->front()) {
+        std::pop_heap(out->begin(), out->end());
+        out->back() = cand;
+        std::push_heap(out->begin(), out->end());
+      }
+    }
   }
-  vp_->Knn(qi, k, dead_, out, &visited);
+  std::sort_heap(out->begin(), out->end());
   const double t1 = telemetry::NowUs();
-  stats->vp_nodes_visited += visited;
+  stats->vp_nodes_visited += evaluated;
   stats->vptree_us += t1 - t0;
 }
 
 void IndexView::LbRangeCandidates(const GraphInvariants& qi, int tau,
                                   std::vector<int>* out_ids,
                                   IndexStats* stats) const {
+  // No WL table at tau == 0: a zero bound does not imply equal hashes.
   const double t0 = telemetry::NowUs();
-  long visited = 0;
-  std::vector<std::pair<int, int>> hits;  // (id, lb)
-  vp_->Range(qi, tau, dead_, &hits, &visited);
-  for (const auto& e : delta_) {
-    ++visited;
-    if (InvariantLowerBound(qi, e->invariants) <= tau)
-      hits.emplace_back(e->id, 0);
-  }
   const size_t first = out_ids->size();
-  for (const auto& h : hits) out_ids->push_back(h.first);
+  long evaluated = 0;
+  const auto query_rle = RleLabels(qi.sorted_labels);
+  std::vector<int32_t> label_bounds;
+  for (const auto& [key, part] : partitions_) {
+    if (PartitionLowerBound(*part, qi) > tau) continue;
+    PartitionLabelBounds(*part, qi, query_rle, &label_bounds);
+    for (size_t slot = 0; slot < part->members.size(); ++slot) {
+      if (label_bounds[slot] > tau) continue;
+      const StoreEntry& e = *part->members[slot];
+      ++evaluated;
+      if (InvariantLowerBound(qi, e.invariants) <= tau)
+        out_ids->push_back(e.id);
+    }
+  }
   std::sort(out_ids->begin() + static_cast<long>(first), out_ids->end());
   const double t1 = telemetry::NowUs();
-  const long emitted = static_cast<long>(hits.size());
+  const long emitted = static_cast<long>(out_ids->size() - first);
   stats->scanned += size_;
   stats->candidates += emitted;
   stats->vptree_pruned += static_cast<long>(size_) - emitted;
-  stats->vp_nodes_visited += visited;
+  stats->vp_nodes_visited += evaluated;
   stats->vptree_us += t1 - t0;
 }
 
@@ -110,8 +146,8 @@ std::shared_ptr<const IndexView> GraphIndex::BuildFull(
   view->wl_prefix_bits_ = opt_.wl_prefix_bits;
   view->partitions_ =
       BuildPartitionMap(snap->entry_ptrs(), opt_.wl_prefix_bits);
-  view->vp_ = VpTree::Build(snap->entry_ptrs());
-  OTGED_COUNT(kRebuildsName, kRebuildsHelp);
+  OTGED_COUNT("otged_index_rebuilds_total",
+              "full index builds (the first view of a GraphIndex)");
   return view;
 }
 
@@ -139,62 +175,16 @@ std::shared_ptr<const IndexView> GraphIndex::Advance(
       ++j;
     }
   }
-  if (added.empty() && removed.empty() && view_->size_ == snap->Size()) {
-    // Epoch moved without content change (e.g. erase of a missing id).
-    auto view = std::shared_ptr<IndexView>(new IndexView(*view_));
-    view->epoch_ = snap->epoch();
-    return view;
-  }
-
   auto view = std::shared_ptr<IndexView>(new IndexView);
   view->epoch_ = snap->epoch();
   view->size_ = snap->Size();
   view->wl_prefix_bits_ = opt_.wl_prefix_bits;
   view->partitions_ = ApplyPartitionDiff(view_->partitions_, added, removed,
                                          opt_.wl_prefix_bits);
-
-  // VP-tree overlay: erases of tree residents become dead ids, erases of
-  // delta entries drop out of the delta, inserts append to the delta.
-  // An id can be in BOTH places at once — a Restore rebind of a tree
-  // resident marks the stale tree entry dead and serves the fresh entry
-  // from the delta — so a removal must always clear the delta entry, and
-  // the dead list must stay duplicate-free.
-  view->vp_ = view_->vp_;
-  view->dead_ = view_->dead_;
-  view->delta_ = view_->delta_;
-  for (const auto& e : removed) {
-    auto it = std::lower_bound(
-        view->delta_.begin(), view->delta_.end(), e->id,
-        [](const auto& d, int id) { return d->id < id; });
-    if (it != view->delta_.end() && (*it)->id == e->id)
-      view->delta_.erase(it);
-    if (std::binary_search(view->vp_->sorted_ids().begin(),
-                           view->vp_->sorted_ids().end(), e->id)) {
-      auto dit =
-          std::lower_bound(view->dead_.begin(), view->dead_.end(), e->id);
-      if (dit == view->dead_.end() || *dit != e->id)
-        view->dead_.insert(dit, e->id);
-    }
-  }
-  for (const auto& e : added)
-    view->delta_.insert(
-        std::lower_bound(view->delta_.begin(), view->delta_.end(), e->id,
-                         [](const auto& d, int id) { return d->id < id; }),
-        e);
-
-  const size_t overlay = view->delta_.size() + view->dead_.size();
-  const size_t limit = std::max(
-      static_cast<size_t>(opt_.vp_rebuild_min),
-      static_cast<size_t>(opt_.vp_rebuild_fraction *
-                          static_cast<double>(snap->Size())));
-  if (overlay > limit) {
-    view->vp_ = VpTree::Build(snap->entry_ptrs());
-    view->delta_.clear();
-    view->dead_.clear();
-    OTGED_COUNT(kRebuildsName, kRebuildsHelp);
-  }
-  OTGED_COUNT("otged_index_applies_total",
-              "incremental snapshot diffs applied to the cached view");
+  // An epoch can move without a content change (erase of a missing id).
+  if (!added.empty() || !removed.empty())
+    OTGED_COUNT("otged_index_applies_total",
+                "incremental snapshot diffs applied to the cached view");
   return view;
 }
 
@@ -206,10 +196,6 @@ void GraphIndex::Install(const std::shared_ptr<const StoreSnapshot>& snap,
                   view_->size_);
   OTGED_GAUGE_SET("otged_index_partitions", "partitions in the current view",
                   static_cast<long>(view_->partitions_.size()));
-  OTGED_GAUGE_SET(
-      "otged_index_vp_overlay",
-      "VP-tree overlay entries (delta inserts + dead ids)",
-      static_cast<long>(view_->delta_.size() + view_->dead_.size()));
 }
 
 }  // namespace otged

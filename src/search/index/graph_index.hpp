@@ -3,32 +3,30 @@
 ///
 /// Sits between GraphStore and FilterCascade: given a pinned snapshot,
 /// the engine asks the index for a candidate id list instead of scanning
-/// every stored graph. Three levels, all pruning strictly via admissible
-/// lower bounds (so indexed results are byte-identical to a linear
-/// scan):
+/// every stored graph. Three levels over one partition table
+/// (partition_table.hpp), all pruning strictly via admissible lower
+/// bounds (so indexed results are byte-identical to a linear scan):
 ///
-///   level 1  partition screen   (n, m) signature distance + descending
-///                               degree min/max envelope; prunes whole
-///                               partitions without opening them
+///   level 1  partition screen   max(|dn| + |dm|, degree envelope gap)
+///                               prunes whole (n, m) partitions without
+///                               opening them
 ///   level 2  label postings     inverted label index inside a
-///                               partition; O(1) per posting entry, and
-///                               members untouched by the query's labels
-///                               are dismissed wholesale (at tau == 0 a
-///                               WL-hash prefix table is used instead)
-///   level 3  VP-tree            triangle-inequality pruning over the
-///                               InvariantLowerBound pseudo-metric;
-///                               serves top-k seeding and the final
-///                               LB-range cut
+///                               partition; members pass on their
+///                               label-count bound (at tau == 0 a WL-hash
+///                               prefix table is used instead)
+///   level 3  exact bound cut    InvariantLowerBound evaluated only for
+///                               members that levels 1 + 2 cannot rule
+///                               out; serves top-k seeding (partitions
+///                               visited in ascending bound order until
+///                               the k-th best is out of reach) and the
+///                               final LB-range cut
 ///
 /// Consistency model: an IndexView is immutable and tied to one store
 /// epoch. GraphIndex caches the view for the most recent snapshot it
 /// served and advances it by diffing snapshot entry vectors (both are
-/// ascending by stable id, so the diff is a linear merge walk):
-/// partitions update copy-on-write, the VP-tree absorbs churn into a
-/// linear delta list (recent inserts) plus a dead-id set (erases) and is
-/// rebuilt deterministically once the overlay exceeds a configured
-/// fraction. Concurrent queries that pinned older views keep using them
-/// untouched.
+/// ascending by stable id, so the diff is a linear merge walk); touched
+/// partitions are rebuilt copy-on-write and the rest are shared.
+/// Concurrent queries that pinned older views keep using them untouched.
 #ifndef OTGED_SEARCH_INDEX_GRAPH_INDEX_HPP_
 #define OTGED_SEARCH_INDEX_GRAPH_INDEX_HPP_
 
@@ -41,7 +39,6 @@
 #include "search/graph_store.hpp"
 #include "search/index/index_stats.hpp"
 #include "search/index/partition_table.hpp"
-#include "search/index/vp_tree.hpp"
 
 namespace otged {
 
@@ -50,10 +47,6 @@ struct IndexOptions {
   /// mean smaller buckets; candidates are always confirmed against the
   /// full hash, so this only trades space for bucket selectivity.
   int wl_prefix_bits = 16;
-  /// Rebuild the VP-tree when overlay entries (delta + dead) exceed
-  /// max(vp_rebuild_min, vp_rebuild_fraction * live size).
-  double vp_rebuild_fraction = 0.15;
-  int vp_rebuild_min = 64;
 };
 
 /// The index at one store epoch. Immutable; safe to share across
@@ -72,7 +65,8 @@ class IndexView {
 
   /// Top-k seeding (level 3): the k lexicographically smallest
   /// (InvariantLowerBound, id) pairs, ascending — identical to what a
-  /// full scan's nth_element by (bound, slot) would select.
+  /// full scan's nth_element by (bound, slot) would select. All of them
+  /// when k >= Size().
   void TopKSeeds(const GraphInvariants& qi, size_t k,
                  std::vector<std::pair<int, int>>* out, IndexStats* stats)
       const;
@@ -83,8 +77,6 @@ class IndexView {
   void LbRangeCandidates(const GraphInvariants& qi, int tau,
                          std::vector<int>* out_ids, IndexStats* stats) const;
 
-  bool OverlayEmpty() const { return delta_.empty() && dead_.empty(); }
-
  private:
   friend class GraphIndex;
 
@@ -92,11 +84,6 @@ class IndexView {
   int size_ = 0;
   int wl_prefix_bits_ = 16;
   PartitionMap partitions_;
-  std::shared_ptr<const VpTree> vp_;
-  /// Live entries not yet in vp_, ascending by id (scanned linearly).
-  std::vector<std::shared_ptr<const StoreEntry>> delta_;
-  /// Ids still in vp_ but no longer live, ascending (skipped on emit).
-  std::vector<int> dead_;
 };
 
 /// Maintains the current IndexView for a store. Thread-safe; queries in

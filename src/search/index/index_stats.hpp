@@ -8,21 +8,22 @@ namespace otged {
 /// What the index did for one query (or, after Merge, a batch). Pruning
 /// is attributed to the *first* level that dismissed a graph: partition
 /// screening (size signature / degree envelope), the label posting walk
-/// (including the WL-hash table at tau == 0), or VP-tree triangle
-/// pruning for top-k. `scanned` counts every graph in the pinned
-/// snapshot, so `scanned == candidates + PrunedTotal()` per query.
+/// (including the WL-hash table at tau == 0), or level 3, the exact
+/// invariant-bound cut of top-k (fields keep their `vptree` names). `scanned`
+/// counts every graph in the pinned snapshot, so
+/// `scanned == candidates + PrunedTotal()` per query.
 struct IndexStats {
   long scanned = 0;           ///< corpus size the query ran against
   long partition_pruned = 0;  ///< dismissed without opening the partition
   long label_pruned = 0;      ///< dismissed by the posting walk / WL table
-  long vptree_pruned = 0;     ///< dismissed by VP-tree triangle pruning
+  long vptree_pruned = 0;     ///< dismissed by the level-3 LB-range cut
   long candidates = 0;        ///< survivors handed to the filter cascade
   long partitions_seen = 0;
   long partitions_opened = 0;
-  long vp_nodes_visited = 0;  ///< metric evaluations inside the VP-tree
+  long vp_nodes_visited = 0;  ///< level-3 InvariantLowerBound evaluations
   double partition_us = 0.0;  ///< wall time in partition screening
   double label_us = 0.0;      ///< wall time in posting walks
-  double vptree_us = 0.0;     ///< wall time in VP-tree traversals
+  double vptree_us = 0.0;     ///< wall time in level 3 (seeds + cut)
 
   long PrunedTotal() const {
     return partition_pruned + label_pruned + vptree_pruned;

@@ -159,6 +159,19 @@ PartitionMap ApplyPartitionDiff(
   return out;
 }
 
+int PartitionLowerBound(const IndexPartition& part,
+                        const GraphInvariants& qi) {
+  // Every member's label-count bound max(n_q, n_g) - common + |dm| is
+  // at least |dn| + |dm|, and its degree-sequence bound at least the
+  // envelope gap, so the larger of the two bounds every member's
+  // InvariantLowerBound.
+  const int dn = std::abs(qi.num_nodes - part.num_nodes);
+  const int dm = std::abs(qi.num_edges - part.num_edges);
+  return std::max(dn + dm, EnvelopeDegreeBound(qi.sorted_degrees,
+                                               part.degree_min,
+                                               part.degree_max));
+}
+
 void ScreenPartitions(const PartitionMap& parts, const GraphInvariants& qi,
                       int tau,
                       std::vector<const IndexPartition*>* opened,
@@ -167,22 +180,33 @@ void ScreenPartitions(const PartitionMap& parts, const GraphInvariants& qi,
     stats->partitions_seen++;
     const long size = static_cast<long>(part->members.size());
     stats->scanned += size;
-    const int dn = std::abs(qi.num_nodes - part->num_nodes);
-    const int dm = std::abs(qi.num_edges - part->num_edges);
-    // Each node edit moves num_nodes by one, each edge edit num_edges by
-    // one, so GED >= max(dn, dm) for every member.
-    if (std::max(dn, dm) > tau) {
-      stats->partition_pruned += size;
-      continue;
-    }
-    if (EnvelopeDegreeBound(qi.sorted_degrees, part->degree_min,
-                            part->degree_max) > tau) {
+    if (PartitionLowerBound(*part, qi) > tau) {
       stats->partition_pruned += size;
       continue;
     }
     stats->partitions_opened++;
     opened->push_back(part.get());
   }
+}
+
+void PartitionLabelBounds(
+    const IndexPartition& part, const GraphInvariants& qi,
+    const std::vector<std::pair<Label, int>>& query_rle,
+    std::vector<int32_t>* bounds) {
+  // Accumulate `common` per member over the query's posting lists, then
+  // turn it into the bound in place.
+  bounds->assign(part.members.size(), 0);
+  auto post = part.postings.begin();
+  for (const auto& [label, qcount] : query_rle) {
+    while (post != part.postings.end() && post->label < label) ++post;
+    if (post == part.postings.end()) break;
+    if (post->label != label) continue;
+    for (const auto& [slot, count] : post->counts)
+      (*bounds)[static_cast<size_t>(slot)] += std::min(count, qcount);
+  }
+  const int base = std::max(qi.num_nodes, part.num_nodes) +
+                   std::abs(qi.num_edges - part.num_edges);
+  for (int32_t& b : *bounds) b = base - b;
 }
 
 void PartitionLabelCandidates(
@@ -217,23 +241,11 @@ void PartitionLabelCandidates(
       for (const auto& member : part.members) out_ids->push_back(member->id);
       emitted = size;
     } else {
-      const int need = base - tau;  // >= 1: untouched members cannot pass
-      std::vector<int32_t> common(static_cast<size_t>(size), 0);
-      std::vector<int32_t> hit;
-      auto post = part.postings.begin();
-      for (const auto& [label, qcount] : query_rle) {
-        while (post != part.postings.end() && post->label < label) ++post;
-        if (post == part.postings.end()) break;
-        if (post->label != label) continue;
-        for (const auto& [slot, count] : post->counts) {
-          if (common[static_cast<size_t>(slot)] == 0) hit.push_back(slot);
-          common[static_cast<size_t>(slot)] += std::min(count, qcount);
-        }
-      }
-      std::sort(hit.begin(), hit.end());
-      for (const int32_t slot : hit) {
-        if (common[static_cast<size_t>(slot)] >= need) {
-          out_ids->push_back(part.members[static_cast<size_t>(slot)]->id);
+      std::vector<int32_t> bounds;
+      PartitionLabelBounds(part, qi, query_rle, &bounds);
+      for (size_t slot = 0; slot < bounds.size(); ++slot) {
+        if (bounds[slot] <= tau) {
+          out_ids->push_back(part.members[slot]->id);
           ++emitted;
         }
       }

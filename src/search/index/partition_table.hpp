@@ -1,27 +1,30 @@
 /// \file partition_table.hpp
-/// \brief Signature partitions with inverted label postings — levels 1
-/// and 2 of the candidate-generation index.
+/// \brief Signature partitions with inverted label postings — the
+/// structure every level of the candidate-generation index walks.
 ///
 /// Graphs are partitioned by their exact (num_nodes, num_edges)
-/// signature. A range query with threshold tau screens partitions
-/// wholesale: GED changes num_nodes by at most one per node edit and
-/// num_edges by at most one per edge edit, so a partition with
-/// max(|dn|, |dm|) > tau cannot contain a hit; a descending-degree
-/// min/max envelope sharpens the screen (the envelope L1 gap lower
-/// bounds every member's degree-sequence bound). Only surviving
-/// partitions are opened.
+/// signature. Two admissible bounds are read off the table, both never
+/// above any member's InvariantLowerBound:
 ///
-/// Inside an open partition, the inverted index maps each node label to
-/// the members containing it. The label-count lower bound
-///   max(n_q, n_g) - common + |m_q - m_g|   (common = sum of min counts)
-/// is admissible, so a member passes only if
-///   common >= max(n_q, n_part) + |dm| - tau.
-/// When that threshold is positive, only members touched by the query's
-/// posting lists can reach it — untouched members (and with them entire
-/// posting lists for labels the query lacks) are dismissed without being
-/// visited. At tau == 0 a WL-hash prefix table replaces the walk: WL
-/// equality is necessary for GED == 0, so only the query's hash bucket
-/// is opened.
+///   partition bound   max(|dn| + |dm|, envelope gap): GED changes
+///                     num_nodes by at most one per node edit and
+///                     num_edges by at most one per edge edit, and the
+///                     query's ascending degree sequence lies at least
+///                     the L1 gap to the partition's positional min/max
+///                     envelope away from every member's (halved,
+///                     rounded up, as in the degree-sequence bound);
+///   label bound       max(n_q, n_g) - common + |m_q - m_g|, per member
+///                     (common = sum of min label counts), filled by one
+///                     walk over the inverted index that maps each node
+///                     label to the members containing it.
+///
+/// A range query screens partitions on the partition bound and opens
+/// only the survivors, where members pass on the label bound; at
+/// tau == 0 a WL-hash prefix table replaces the walk (WL equality is
+/// necessary for GED == 0, so only the query's hash bucket is opened).
+/// Top-k seeding and the exact LB-range cut (graph_index.hpp) visit
+/// partitions by the partition bound and evaluate InvariantLowerBound
+/// only for members whose label bound can still matter.
 #ifndef OTGED_SEARCH_INDEX_PARTITION_TABLE_HPP_
 #define OTGED_SEARCH_INDEX_PARTITION_TABLE_HPP_
 
@@ -88,16 +91,30 @@ PartitionMap ApplyPartitionDiff(
     const std::vector<std::shared_ptr<const StoreEntry>>& removed,
     int wl_prefix_bits);
 
-/// Level 1: appends partitions that survive the signature and degree
-/// envelope screens to `opened`; accounts pruned members in `stats`.
+/// Lower bound on InvariantLowerBound(qi, g) for every member g of
+/// `part`: max(|dn| + |dm|, degree envelope gap).
+int PartitionLowerBound(const IndexPartition& part,
+                        const GraphInvariants& qi);
+
+/// Level 1: appends partitions whose PartitionLowerBound is <= tau to
+/// `opened`; accounts pruned members in `stats`.
 void ScreenPartitions(const PartitionMap& parts, const GraphInvariants& qi,
                       int tau,
                       std::vector<const IndexPartition*>* opened,
                       IndexStats* stats);
 
-/// Level 2: appends the ids of members of `part` whose label-count lower
-/// bound is <= tau (at tau == 0: whose WL hash matches). Run-length
-/// encoded query labels in `query_rle` (ascending by label).
+/// Fills `bounds` (resized to the member count, indexed by member slot)
+/// with each member's label-count bound
+/// max(n_q, n_g) - common + |m_q - m_g|, which never exceeds
+/// InvariantLowerBound. Run-length encoded query labels in `query_rle`
+/// (ascending by label).
+void PartitionLabelBounds(const IndexPartition& part,
+                          const GraphInvariants& qi,
+                          const std::vector<std::pair<Label, int>>& query_rle,
+                          std::vector<int32_t>* bounds);
+
+/// Level 2: appends the ids of members of `part` whose label bound is
+/// <= tau (at tau == 0: whose WL hash matches), ascending.
 void PartitionLabelCandidates(
     const IndexPartition& part, const GraphInvariants& qi,
     const std::vector<std::pair<Label, int>>& query_rle, int tau,

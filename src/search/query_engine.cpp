@@ -305,7 +305,7 @@ std::vector<TopKResult> QueryEngine::TopKBatchLocked(
 
   // --- phase A: the most promising probe candidates per query ----------
   // A pool of kp = kk + topk_seed_probes lowest-(bound, id) graphs.
-  // Indexed: the VP-tree's k-nearest by (InvariantLowerBound, id) — the
+  // Indexed: the index's k-nearest by (InvariantLowerBound, id) — the
   // same set a full scan's nth_element by (bound, slot) selects, since
   // slots ascend by id. Unindexed: materialize the bound matrix and
   // select directly. Both paths pick the identical pool, so the cap —
@@ -406,7 +406,7 @@ std::vector<TopKResult> QueryEngine::TopKBatchLocked(
 
   // --- phase C: exact verification of surviving candidates -------------
   // The task set is exactly { slot : InvariantLowerBound <= tau0 }: the
-  // VP-tree's LB-range cut computes the same set the bound matrix scan
+  // index's LB-range cut computes the same set the bound matrix scan
   // does, so indexed and unindexed top-k verify identical pairs.
   std::vector<std::pair<int, int>> tasks;  ///< (unique query, slot)
   std::vector<long> screened(nu, 0);

@@ -13,8 +13,8 @@
 ///
 /// With the index enabled (the default), candidate generation goes
 /// through GraphIndex first: the partition/label levels produce a range
-/// candidate list and the VP-tree seeds top-k, so the cascade only sees
-/// a sublinear slice of the store. Index pruning uses the same
+/// candidate list and the exact bound cut seeds top-k, so the cascade sees
+/// only a sublinear slice of the store. Index pruning uses the same
 /// admissible bounds a full scan's tier 0 would, so hits are
 /// byte-identical with the index on or off; pairs the index dismissed
 /// are folded into the query's CascadeStats as `pruned_index`, keeping

@@ -82,7 +82,7 @@ inline constexpr StatsCounter kStatsCounters[] = {
      .help = "partitions that survived the signature screen",
      .index = &IndexStats::partitions_opened},
     {.name = "otged_index_vp_nodes_visited_total",
-     .help = "metric evaluations inside VP-tree traversals",
+     .help = "level 3: exact invariant-bound cut (bound evaluations)",
      .index = &IndexStats::vp_nodes_visited},
 };
 
@@ -91,7 +91,8 @@ inline constexpr StatsCounter kStatsCounters[] = {
 /// generated the candidates (`indexed`), also
 /// `otged_index_queries_total{kind}` and one
 /// `otged_index_level_latency_us` sample per level the query ran:
-/// partition and label for range, vptree for top-k. No-op while
+/// partition and label for range, vptree (level 3, the exact
+/// invariant-bound cut) for top-k. No-op while
 /// telemetry is disabled.
 void PublishQueryStats(const QueryStats& stats, QueryKind kind,
                        bool indexed);

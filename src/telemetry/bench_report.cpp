@@ -86,11 +86,11 @@ bool WriteBenchJson(const BenchReport& report, const std::string& path,
                  ",\n  \"index\": {\"candidate_fraction\": %.4f, "
                  "\"partition_prune_fraction\": %.4f, "
                  "\"label_prune_fraction\": %.4f, "
-                 "\"vptree_prune_fraction\": %.4f}",
+                 "\"vptree_prune_fraction\": %.4f, \"build_s\": %.4f}",
                  report.index_candidate_fraction,
                  report.index_partition_prune_fraction,
                  report.index_label_prune_fraction,
-                 report.index_vptree_prune_fraction);
+                 report.index_vptree_prune_fraction, report.index_build_s);
   std::fprintf(f, "\n}\n");
   const bool ok = std::fclose(f) == 0;
   if (!ok && error) *error = "write to " + path + " failed";

@@ -51,6 +51,8 @@
 ///     "partition_prune_fraction": number  graphs dismissed per level,
 ///     "label_prune_fraction":     number  as a fraction of all
 ///     "vptree_prune_fraction":    number  (query, graph) pairs
+///     "build_s":                  number  seconds to build the index
+///                                         on the full corpus (>= 0)
 ///   }
 #ifndef OTGED_TELEMETRY_BENCH_REPORT_HPP_
 #define OTGED_TELEMETRY_BENCH_REPORT_HPP_
@@ -93,6 +95,7 @@ struct BenchReport {
   double index_partition_prune_fraction = 0.0;
   double index_label_prune_fraction = 0.0;
   double index_vptree_prune_fraction = 0.0;
+  double index_build_s = 0.0;
 };
 
 /// The current git revision: $GITHUB_SHA if set, else `git rev-parse

@@ -4,7 +4,7 @@
 /// while query threads pull snapshot-consistent views and cross-check
 /// indexed candidate sets against a brute-force scan of the very
 /// snapshot each view was built for — a torn view, a stale posting, or
-/// a half-applied VP-tree overlay would break the equality. A second
+/// a half-applied partition diff would break the equality. A second
 /// test hammers the full engine and verifies every served answer
 /// against per-epoch exact ground truth.
 #include <gtest/gtest.h>
@@ -35,9 +35,8 @@ int ExactGed(const Graph& a, const Graph& b) {
 }
 
 /// The index-level hammer: every view a querier obtains must agree with
-/// a linear scan of the snapshot it claims to represent. The rebuild
-/// threshold is forced low so the concurrent path crosses incremental
-/// advances AND full VP-tree rebuilds.
+/// a linear scan of the snapshot it claims to represent, across the
+/// incremental advances the churn forces.
 TEST(IndexHammerTest, ConcurrentViewsMatchTheirSnapshots) {
   constexpr int kBase = 60, kMutations = 80, kTau = 2;
   Rng rng(171);
@@ -49,10 +48,7 @@ TEST(IndexHammerTest, ConcurrentViewsMatchTheirSnapshots) {
   for (int q = 0; q < 6; ++q)
     queries.push_back(ComputeInvariants(AidsLikeGraph(&rng, 3, 9)));
 
-  IndexOptions iopt;
-  iopt.vp_rebuild_min = 8;  // force rebuilds under churn
-  iopt.vp_rebuild_fraction = 0.05;
-  GraphIndex index(iopt);
+  GraphIndex index;
   (void)index.ViewFor(store.Snapshot());
 
   std::thread mutator([&] {
@@ -146,8 +142,6 @@ TEST(IndexHammerTest, IndexedServingIsExactAtEveryEpoch) {
 
   EngineOptions opt;
   opt.num_threads = 2;
-  opt.index.vp_rebuild_min = 4;  // cross the rebuild path mid-hammer
-  opt.index.vp_rebuild_fraction = 0.05;
   QueryEngine engine(&store, opt);
 
   std::thread mutator([&] {

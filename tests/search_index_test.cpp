@@ -1,21 +1,22 @@
 /// \file search_index_test.cpp
 /// \brief Consistency suite for the multi-level candidate index: the
-/// pseudo-metric property the VP-tree's pruning rests on, VP-tree
-/// range/knn vs brute force, candidate-set guarantees (superset for the
-/// partition/label screen, exact for the LB-range cut, identical seeds
-/// for top-k), metamorphic identities (permuted queries see identical
-/// candidates), erases after a Restore rebind dropping out of every
-/// candidate set, and indexed vs unindexed engine answers.
+/// pseudo-metric property of the invariant bound, candidate-set
+/// guarantees (superset for the partition/label screen, exact for the
+/// LB-range cut, identical seeds for top-k) against a full scan on views
+/// advanced through Insert, Erase and Restore, ties at the k-th bound,
+/// metamorphic identities (permuted queries see identical candidates),
+/// erases after a Restore rebind dropping out of every candidate set,
+/// and indexed vs unindexed engine answers.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <numeric>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "graph/generator.hpp"
 #include "search/index/graph_index.hpp"
-#include "search/index/vp_tree.hpp"
 #include "search/query_engine.hpp"
 
 namespace otged {
@@ -48,8 +49,6 @@ TEST(IndexMetricTest, InvariantLowerBoundIsAPseudoMetric) {
       EXPECT_EQ(InvariantLowerBound(a, b), InvariantLowerBound(b, a));
       EXPECT_GE(InvariantLowerBound(a, b), 0);
       for (const GraphInvariants& c : invs) {
-        // The triangle inequality is exactly what licenses VP-tree
-        // pruning; a single violation would make pruning lossy.
         EXPECT_LE(InvariantLowerBound(a, c),
                   InvariantLowerBound(a, b) + InvariantLowerBound(b, c));
       }
@@ -57,70 +56,133 @@ TEST(IndexMetricTest, InvariantLowerBoundIsAPseudoMetric) {
   }
 }
 
-TEST(VpTreeTest, RangeAndKnnMatchBruteForce) {
-  Rng rng(7);
-  GraphStore store;
-  store.AddAll(RandomCorpus(120, &rng));
-  auto snap = store.Snapshot();
-  auto tree = VpTree::Build(snap->entry_ptrs());
-  ASSERT_EQ(tree->Size(), snap->Size());
-
-  for (int q = 0; q < 20; ++q) {
-    const GraphInvariants qi =
-        ComputeInvariants(AidsLikeGraph(&rng, 3, 10));
-    const auto brute = BruteBounds(*snap, qi);
-    for (int tau : {0, 1, 2, 4}) {
-      std::vector<std::pair<int, int>> got;  // (id, distance)
-      long visited = 0;
-      tree->Range(qi, tau, {}, &got, &visited);
-      std::sort(got.begin(), got.end());
-      std::vector<std::pair<int, int>> expected;
-      for (const auto& [lb, id] : brute)
-        if (lb <= tau) expected.emplace_back(id, lb);
-      std::sort(expected.begin(), expected.end());
-      EXPECT_EQ(got, expected) << "tau=" << tau;
-      EXPECT_LE(visited, snap->Size());
-    }
-    for (size_t k : {1u, 5u, 17u}) {
-      std::vector<std::pair<int, int>> best;  // (distance, id)
-      long visited = 0;
-      tree->Knn(qi, k, {}, &best, &visited);
-      std::vector<std::pair<int, int>> expected = brute;
-      std::sort(expected.begin(), expected.end());
-      expected.resize(std::min(expected.size(), k));
-      EXPECT_EQ(best, expected) << "k=" << k;
-    }
+/// Top-k seeds and the LB-range cut must equal a full scan by
+/// (InvariantLowerBound, id) at every k and tau, including k = 0,
+/// k > Size() and a tau that covers everything.
+void ExpectSeedsAndLbRangeMatchFullScan(const IndexView& view,
+                                        const StoreSnapshot& snap,
+                                        const GraphInvariants& qi,
+                                        const std::string& where) {
+  auto brute = BruteBounds(snap, qi);
+  std::sort(brute.begin(), brute.end());
+  for (size_t k : {size_t{0}, size_t{1}, size_t{7}, brute.size(),
+                   brute.size() + 3}) {
+    std::vector<std::pair<int, int>> seeds;
+    IndexStats stats;
+    view.TopKSeeds(qi, k, &seeds, &stats);
+    std::vector<std::pair<int, int>> expected(
+        brute.begin(), brute.begin() + static_cast<long>(
+                                           std::min(k, brute.size())));
+    EXPECT_EQ(seeds, expected) << where << " k=" << k;
+    EXPECT_LE(stats.vp_nodes_visited, snap.Size());
+  }
+  for (int tau : {0, 1, 2, 4, 1 << 20}) {
+    std::vector<int> ids;
+    IndexStats stats;
+    view.LbRangeCandidates(qi, tau, &ids, &stats);
+    std::vector<int> expected;
+    for (const auto& [lb, id] : brute)
+      if (lb <= tau) expected.push_back(id);
+    std::sort(expected.begin(), expected.end());
+    EXPECT_EQ(ids, expected) << where << " tau=" << tau;
+    EXPECT_EQ(stats.scanned, snap.Size());
+    EXPECT_EQ(stats.scanned, stats.candidates + stats.PrunedTotal());
   }
 }
 
-TEST(VpTreeTest, DeadIdsServeAsVantagesButAreNeverEmitted) {
-  Rng rng(13);
+TEST(GraphIndexTest, SeedsAndLbRangeMatchAFullScanUnderChurn) {
+  Rng rng(7);
   GraphStore store;
-  store.AddAll(RandomCorpus(60, &rng));
+  store.AddAll(RandomCorpus(120, &rng));
+  GraphIndex index;
+  std::vector<Graph> extras = RandomCorpus(20, &rng);
+  for (int round = 0; round < 24; ++round) {
+    if (round % 8 == 7) {
+      // Restore rebinds every id to a fresh entry object.
+      auto snap = store.Snapshot();
+      std::vector<std::pair<int, Graph>> entries;
+      for (int slot = 0; slot < snap->Size(); ++slot)
+        entries.emplace_back(snap->id(slot), snap->graph(slot));
+      ASSERT_TRUE(store.Restore(std::move(entries), store.NextId()));
+    } else if (round % 3 == 2) {
+      (void)store.Erase(rng.UniformInt(0, store.NextId() - 1));
+    } else if (round > 0) {
+      store.Insert(extras[static_cast<size_t>(round) % extras.size()]);
+    }
+    auto snap = store.Snapshot();
+    auto view = index.ViewFor(snap);
+    for (int q = 0; q < 3; ++q)
+      ExpectSeedsAndLbRangeMatchFullScan(
+          *view, *snap, ComputeInvariants(AidsLikeGraph(&rng, 3, 10)),
+          "round " + std::to_string(round) + " q " + std::to_string(q));
+    // A stored graph as the query puts bound-0 members in play.
+    ExpectSeedsAndLbRangeMatchFullScan(*view, *snap, snap->invariants(0),
+                                       "round " + std::to_string(round));
+  }
+}
+
+TEST(GraphIndexTest, TopKSeedsBreakTiesAtTheKthBoundById) {
+  // Query: path 0-1-2, all labels 0. A (labels {0, 0, 1}, same shape)
+  // and B (all-0 triangle) both sit at bound 1, but A's partition bound
+  // is 0 and B's is 1, so A's partition is visited first. B's copies
+  // have the smaller ids, so they must still displace A's at the k-th
+  // bound.
+  Graph q(3);
+  q.AddEdge(0, 1);
+  q.AddEdge(1, 2);
+  Graph a = q;
+  a.set_label(2, 1);
+  Graph b = q;
+  b.AddEdge(0, 2);
+  const GraphInvariants qi = ComputeInvariants(q);
+  ASSERT_EQ(InvariantLowerBound(qi, ComputeInvariants(a)), 1);
+  ASSERT_EQ(InvariantLowerBound(qi, ComputeInvariants(b)), 1);
+
+  GraphStore store;
+  store.AddAll({b, b, b, a, a, a});  // ids 0-2 are B, 3-5 are A
+  GraphIndex index;
   auto snap = store.Snapshot();
-  auto tree = VpTree::Build(snap->entry_ptrs());
-  std::vector<int> dead = {0, 7, 31, 59};  // ascending
-  const GraphInvariants qi = ComputeInvariants(AidsLikeGraph(&rng, 3, 10));
+  auto view = index.ViewFor(snap);
+  for (size_t k = 0; k <= 7; ++k) {
+    std::vector<std::pair<int, int>> seeds;
+    IndexStats stats;
+    view->TopKSeeds(qi, k, &seeds, &stats);
+    std::vector<std::pair<int, int>> expected;
+    for (int id = 0; id < std::min<int>(static_cast<int>(k), 6); ++id)
+      expected.emplace_back(1, id);
+    EXPECT_EQ(seeds, expected) << "k=" << k;
+  }
+}
 
-  std::vector<std::pair<int, int>> got;
-  long visited = 0;
-  tree->Range(qi, 3, dead, &got, &visited);
-  for (const auto& [id, d] : got)
-    EXPECT_FALSE(std::binary_search(dead.begin(), dead.end(), id)) << id;
-  std::vector<std::pair<int, int>> live;
-  tree->Range(qi, 3, {}, &live, &visited);
-  std::vector<std::pair<int, int>> expected;
-  for (const auto& [id, d] : live)
-    if (!std::binary_search(dead.begin(), dead.end(), id))
-      expected.emplace_back(id, d);
-  std::sort(expected.begin(), expected.end());
-  std::sort(got.begin(), got.end());
-  EXPECT_EQ(got, expected);
+TEST(GraphIndexTest, LbRangeAtTauZeroKeepsBoundZeroGraphsWithOtherWlHashes) {
+  // Same label multiset, degree sequence and (n, m) as the query, so the
+  // invariant bound is 0, but the label-1 node moves from an end of the
+  // path to its center: the WL hashes differ and GED > 0. The LB-range
+  // cut is the exact { bound <= tau } set, so it must keep the graph;
+  // the range screen may drop it on the WL table.
+  Graph q(3);
+  q.AddEdge(0, 1);
+  q.AddEdge(1, 2);
+  q.set_label(0, 1);
+  Graph g = q;
+  g.set_label(0, 0);
+  g.set_label(1, 1);
+  const GraphInvariants qi = ComputeInvariants(q);
+  const GraphInvariants gi = ComputeInvariants(g);
+  ASSERT_NE(qi.wl_hash, gi.wl_hash);
+  ASSERT_EQ(InvariantLowerBound(qi, gi), 0);
 
-  std::vector<std::pair<int, int>> best;
-  tree->Knn(qi, 10, dead, &best, &visited);
-  for (const auto& [d, id] : best)
-    EXPECT_FALSE(std::binary_search(dead.begin(), dead.end(), id)) << id;
+  GraphStore store;
+  store.AddAll({g, q});  // ids 0, 1
+  GraphIndex index;
+  auto view = index.ViewFor(store.Snapshot());
+  std::vector<int> ids;
+  IndexStats stats;
+  view->LbRangeCandidates(qi, 0, &ids, &stats);
+  EXPECT_EQ(ids, (std::vector<int>{0, 1}));
+  std::vector<int> range_ids;
+  view->RangeCandidates(qi, 0, &range_ids, &stats);
+  EXPECT_EQ(range_ids, (std::vector<int>{1}));
 }
 
 TEST(GraphIndexTest, RangeCandidatesAreASupersetAndLbRangeIsExact) {
@@ -262,11 +324,9 @@ TEST(GraphIndexTest, PermutedQueriesSeeIdenticalCandidates) {
 
 TEST(GraphIndexTest, RestoreReboundIdsAreFullyForgottenOnErase) {
   // Regression: a Restore rebinds ids to fresh entry objects, which the
-  // incremental diff records as remove + add — the stale tree resident
-  // goes dead while the fresh entry lands in the delta, so the id sits
-  // in both overlay halves at once. A later Erase must then clear the
-  // delta entry too; marking the resident dead again is not enough, or
-  // the erased id keeps being served from the delta.
+  // incremental diff records as remove + add. A later Erase of a rebound
+  // id must drop it from every candidate set, or the erased id keeps
+  // being served.
   Rng rng(127);
   GraphStore store;
   store.AddAll(RandomCorpus(20, &rng));
@@ -280,14 +340,12 @@ TEST(GraphIndexTest, RestoreReboundIdsAreFullyForgottenOnErase) {
       entries.emplace_back(snap->id(slot), snap->graph(slot));
   }
   ASSERT_TRUE(store.Restore(std::move(entries), store.NextId()));
-  (void)index.ViewFor(store.Snapshot());  // absorb the rebind as overlay
+  (void)index.ViewFor(store.Snapshot());  // absorb the rebind as a diff
 
   const int victim = 5;
   ASSERT_TRUE(store.Erase(victim));
   auto post = store.Snapshot();
   auto view = index.ViewFor(post);
-  // The overlay stayed under the rebuild threshold — the buggy path.
-  ASSERT_FALSE(view->OverlayEmpty());
 
   const GraphInvariants qi = ComputeInvariants(AidsLikeGraph(&rng, 3, 10));
   std::vector<int> ids;

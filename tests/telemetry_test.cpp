@@ -365,7 +365,7 @@ TEST(TelemetryEndToEndTest, RepeatedBatchQueryIsCountedOnce) {
 }
 
 TEST(TelemetryEndToEndTest, IndexLevelLatencyIsOneSamplePerQuery) {
-  // Top-k walks the VP-tree twice (seeds, then the LB-range cut), yet
+  // Top-k runs index level 3 twice (seeds, then the LB-range cut), yet
   // the per-query histogram must take one vptree sample per query.
   telemetry::SetEnabled(true);
   Rng rng(99);

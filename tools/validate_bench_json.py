@@ -209,7 +209,10 @@ def validate(doc, problems):
                 val = require(index, key, (int, float), problems)
                 if val is not None and not 0.0 <= val <= 1.0:
                     err(f"index.{key} {val} outside [0, 1]", problems)
-            for extra in sorted(set(index) - set(keys)):
+            build_s = require(index, "build_s", (int, float), problems)
+            if build_s is not None and build_s < 0:
+                err(f"index.build_s {build_s} is negative", problems)
+            for extra in sorted(set(index) - set(keys) - {"build_s"}):
                 err(f"index has unknown key {extra!r}", problems)
 
 

@@ -1,6 +1,7 @@
 #include "search/index/graph_index.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "telemetry/metrics.hpp"
 
@@ -49,11 +50,11 @@ void IndexView::TopKSeeds(const GraphInvariants& qi, size_t k,
   const double t0 = telemetry::NowUs();
   long evaluated = 0;
   out->clear();
-  // Partitions in ascending bound order (ties keep (n, m) order).
+  // Partitions in ascending size-bound order (ties keep (n, m) order).
   std::vector<std::pair<int, const IndexPartition*>> order;
   order.reserve(partitions_.size());
   for (const auto& [key, part] : partitions_)
-    order.emplace_back(PartitionLowerBound(*part, qi), part.get());
+    order.emplace_back(PartitionSizeBound(*part, qi), part.get());
   std::stable_sort(order.begin(), order.end(),
                    [](const auto& a, const auto& b) {
                      return a.first < b.first;
@@ -62,12 +63,18 @@ void IndexView::TopKSeeds(const GraphInvariants& qi, size_t k,
   std::vector<int32_t> label_bounds;
   // `out` is a max-heap on (bound, id): its front is the k-th best so
   // far. A member can only enter with a pair below the front, and its
-  // pair is never below (max(partition bound, label bound), id).
-  for (const auto& [part_bound, part] : order) {
-    // Every later member's bound is >= part_bound; at equality a member
-    // with a smaller id may still enter.
-    if (out->size() == k && (k == 0 || part_bound > out->front().first))
-      break;
+  // pair is never below (max(partition bound, label bound), id). A
+  // bound above `worst` can enter nowhere; at equality a member with a
+  // smaller id still may.
+  auto worst = [&] {
+    if (out->size() < k) return std::numeric_limits<int>::max();
+    return k == 0 ? -1 : out->front().first;
+  };
+  for (const auto& [size_bound, part] : order) {
+    // Every later partition's size bound is >= this one.
+    if (size_bound > worst()) break;
+    const int part_bound = PartitionLowerBound(*part, qi, worst());
+    if (part_bound > worst()) continue;
     PartitionLabelBounds(*part, qi, query_rle, &label_bounds);
     for (size_t slot = 0; slot < part->members.size(); ++slot) {
       const StoreEntry& e = *part->members[slot];
@@ -104,7 +111,7 @@ void IndexView::LbRangeCandidates(const GraphInvariants& qi, int tau,
   const auto query_rle = RleLabels(qi.sorted_labels);
   std::vector<int32_t> label_bounds;
   for (const auto& [key, part] : partitions_) {
-    if (PartitionLowerBound(*part, qi) > tau) continue;
+    if (PartitionLowerBound(*part, qi, tau) > tau) continue;
     PartitionLabelBounds(*part, qi, query_rle, &label_bounds);
     for (size_t slot = 0; slot < part->members.size(); ++slot) {
       if (label_bounds[slot] > tau) continue;

@@ -159,17 +159,23 @@ PartitionMap ApplyPartitionDiff(
   return out;
 }
 
+int PartitionSizeBound(const IndexPartition& part,
+                       const GraphInvariants& qi) {
+  return std::abs(qi.num_nodes - part.num_nodes) +
+         std::abs(qi.num_edges - part.num_edges);
+}
+
 int PartitionLowerBound(const IndexPartition& part,
-                        const GraphInvariants& qi) {
+                        const GraphInvariants& qi, int cap) {
   // Every member's label-count bound max(n_q, n_g) - common + |dm| is
   // at least |dn| + |dm|, and its degree-sequence bound at least the
   // envelope gap, so the larger of the two bounds every member's
   // InvariantLowerBound.
-  const int dn = std::abs(qi.num_nodes - part.num_nodes);
-  const int dm = std::abs(qi.num_edges - part.num_edges);
-  return std::max(dn + dm, EnvelopeDegreeBound(qi.sorted_degrees,
-                                               part.degree_min,
-                                               part.degree_max));
+  const int size_bound = PartitionSizeBound(part, qi);
+  if (size_bound > cap) return size_bound;
+  return std::max(size_bound, EnvelopeDegreeBound(qi.sorted_degrees,
+                                                  part.degree_min,
+                                                  part.degree_max));
 }
 
 void ScreenPartitions(const PartitionMap& parts, const GraphInvariants& qi,
@@ -180,7 +186,7 @@ void ScreenPartitions(const PartitionMap& parts, const GraphInvariants& qi,
     stats->partitions_seen++;
     const long size = static_cast<long>(part->members.size());
     stats->scanned += size;
-    if (PartitionLowerBound(*part, qi) > tau) {
+    if (PartitionLowerBound(*part, qi, tau) > tau) {
       stats->partition_pruned += size;
       continue;
     }

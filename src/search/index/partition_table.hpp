@@ -6,13 +6,14 @@
 /// signature. Two admissible bounds are read off the table, both never
 /// above any member's InvariantLowerBound:
 ///
-///   partition bound   max(|dn| + |dm|, envelope gap): GED changes
-///                     num_nodes by at most one per node edit and
-///                     num_edges by at most one per edge edit, and the
-///                     query's ascending degree sequence lies at least
-///                     the L1 gap to the partition's positional min/max
-///                     envelope away from every member's (halved,
-///                     rounded up, as in the degree-sequence bound);
+///   partition bound   max(|dn| + |dm|, envelope gap). A node edit
+///                     moves num_nodes by at most one and an edge edit
+///                     moves num_edges by at most one, so
+///                     GED >= |dn| + |dm|. Every member's ascending
+///                     degree sequence lies inside the partition's
+///                     positional min/max envelope, so the query's L1
+///                     gap to the envelope (halved, rounded up) never
+///                     exceeds a member's degree-sequence bound;
 ///   label bound       max(n_q, n_g) - common + |m_q - m_g|, per member
 ///                     (common = sum of min label counts), filled by one
 ///                     walk over the inverted index that maps each node
@@ -22,9 +23,9 @@
 /// only the survivors, where members pass on the label bound; at
 /// tau == 0 a WL-hash prefix table replaces the walk (WL equality is
 /// necessary for GED == 0, so only the query's hash bucket is opened).
-/// Top-k seeding and the exact LB-range cut (graph_index.hpp) visit
-/// partitions by the partition bound and evaluate InvariantLowerBound
-/// only for members whose label bound can still matter.
+/// Top-k seeding and the exact LB-range cut (graph_index.hpp) skip
+/// partitions on the same bounds and evaluate InvariantLowerBound only
+/// for members whose label bound can still matter.
 #ifndef OTGED_SEARCH_INDEX_PARTITION_TABLE_HPP_
 #define OTGED_SEARCH_INDEX_PARTITION_TABLE_HPP_
 
@@ -91,10 +92,15 @@ PartitionMap ApplyPartitionDiff(
     const std::vector<std::shared_ptr<const StoreEntry>>& removed,
     int wl_prefix_bits);
 
+/// |dn| + |dm|, a lower bound on the GED to every member of `part`.
+int PartitionSizeBound(const IndexPartition& part, const GraphInvariants& qi);
+
 /// Lower bound on InvariantLowerBound(qi, g) for every member g of
-/// `part`: max(|dn| + |dm|, degree envelope gap).
+/// `part`: max(PartitionSizeBound, degree envelope gap). Once the size
+/// bound alone exceeds `cap`, it is returned without computing the
+/// envelope gap.
 int PartitionLowerBound(const IndexPartition& part,
-                        const GraphInvariants& qi);
+                        const GraphInvariants& qi, int cap);
 
 /// Level 1: appends partitions whose PartitionLowerBound is <= tau to
 /// `opened`; accounts pruned members in `stats`.

@@ -154,6 +154,38 @@ TEST(GraphIndexTest, TopKSeedsBreakTiesAtTheKthBoundById) {
   }
 }
 
+TEST(GraphIndexTest, TopKSeedsSkipAPartitionOutOfReachButNotTheRest) {
+  // Query: path 0-1-2-3-4 (n = 5, m = 4). Partitions (5, 3) and (5, 5)
+  // both have size bound 1 and are visited in that order, after the
+  // query's own (5, 4). The star in (5, 3) is out of reach (degree
+  // envelope gap 2), but the 5-cycle behind it ties the k-th bound with
+  // a smaller id, so the walk must skip (5, 3) and still open (5, 5).
+  Graph q(5);
+  for (int v = 0; v < 4; ++v) q.AddEdge(v, v + 1);
+  Graph relabeled = q;  // (5, 4), bound 1
+  relabeled.set_label(0, 1);
+  Graph star(5);  // (5, 3), bound 2
+  for (int v = 1; v <= 3; ++v) star.AddEdge(0, v);
+  Graph cycle = q;  // (5, 5), bound 1
+  cycle.AddEdge(4, 0);
+  const GraphInvariants qi = ComputeInvariants(q);
+  ASSERT_EQ(InvariantLowerBound(qi, ComputeInvariants(relabeled)), 1);
+  ASSERT_EQ(InvariantLowerBound(qi, ComputeInvariants(star)), 2);
+  ASSERT_EQ(InvariantLowerBound(qi, ComputeInvariants(cycle)), 1);
+
+  GraphStore store;
+  store.AddAll({cycle, relabeled, star});  // ids 0, 1, 2
+  GraphIndex index;
+  auto view = index.ViewFor(store.Snapshot());
+  std::vector<std::pair<int, int>> seeds;
+  IndexStats stats;
+  view->TopKSeeds(qi, 1, &seeds, &stats);
+  EXPECT_EQ(seeds, (std::vector<std::pair<int, int>>{{1, 0}}));
+  view->TopKSeeds(qi, 3, &seeds, &stats);
+  EXPECT_EQ(seeds,
+            (std::vector<std::pair<int, int>>{{1, 0}, {1, 1}, {2, 2}}));
+}
+
 TEST(GraphIndexTest, LbRangeAtTauZeroKeepsBoundZeroGraphsWithOtherWlHashes) {
   // Same label multiset, degree sequence and (n, m) as the query, so the
   // invariant bound is 0, but the label-1 node moves from an end of the

@@ -100,9 +100,10 @@ struct CascadeStats {
 /// Optional per-candidate probe filled by BoundedDistance: the bound
 /// values and solver effort behind one verdict, plus wall time spent in
 /// each tier entered. It is the raw material of a TraceEvent and of the
-/// per-tier latency histograms. The QueryEngine passes a probe only when
-/// tracing or telemetry is on; the cascade reads the clock only when it
-/// has a probe, and never writes metrics itself.
+/// per-tier latency histograms. The QueryEngine always passes a probe and
+/// records a trace event from it only while the trace sink is enabled.
+/// The cascade reads the clock only when it has a probe, and never writes
+/// metrics itself.
 struct CascadeProbe {
   int lb = -1;              ///< best admissible lower bound established
   int ub = -1;              ///< best feasible upper bound (-1: none)

@@ -140,8 +140,6 @@ class GraphStore {
 
   /// Ingests one graph; returns its stable id (never reused).
   int Insert(Graph g) EXCLUDES(mu_);
-  /// Back-compat alias for Insert.
-  int Add(Graph g) { return Insert(std::move(g)); }
   /// Ingests every graph of a dataset, in order, as ONE mutation: ids
   /// are assigned consecutively but a single snapshot (one epoch bump)
   /// is published, so bulk ingest copies the entry vector once instead

@@ -139,8 +139,7 @@ CascadeVerdict QueryEngine::EvalPair(const Graph& query,
                                      int tau, bool need_distance,
                                      CascadeStats* stats) const {
   const int gid = snap.id(slot);
-  const bool metered = telemetry::Enabled();
-  const bool tracing = metered && telemetry::GlobalTrace().enabled();
+  const bool tracing = telemetry::GlobalTrace().enabled();
   const double t0 = tracing ? telemetry::NowUs() : 0.0;
   CascadeVerdict v;
   CascadeProbe probe;  // stays default on a cache hit: no tier entered
@@ -156,8 +155,8 @@ CascadeVerdict QueryEngine::EvalPair(const Graph& query,
   } else {
     v = cascade_.BoundedDistance(query, qc.qi, snap.graph(slot),
                                  snap.invariants(slot), tau, need_distance,
-                                 stats, metered ? &probe : nullptr);
-    if (metered) PublishTierLatency(probe);
+                                 stats, &probe);
+    PublishTierLatency(probe);
     if (use_cache_ && v.exact_distance) cache_.Insert(qc.fp, gid, v.ged);
   }
   if (tracing) {

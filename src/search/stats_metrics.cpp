@@ -59,7 +59,6 @@ const Handles& Metrics() {
 
 void PublishQueryStats(const QueryStats& stats, QueryKind kind,
                        bool indexed) {
-  if (!telemetry::Enabled()) return;
   const Handles& m = Metrics();
   for (size_t i = 0; i < m.counters.size(); ++i)
     m.counters[i]->Inc(kStatsCounters[i].ValueIn(stats));

@@ -92,8 +92,7 @@ inline constexpr StatsCounter kStatsCounters[] = {
 /// `otged_index_queries_total{kind}` and one
 /// `otged_index_level_latency_us` sample per level the query ran:
 /// partition and label for range, vptree (level 3, the exact
-/// invariant-bound cut) for top-k. No-op while
-/// telemetry is disabled.
+/// invariant-bound cut) for top-k.
 void PublishQueryStats(const QueryStats& stats, QueryKind kind,
                        bool indexed);
 

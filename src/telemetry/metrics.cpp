@@ -2,33 +2,12 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 
 #include "core/check.hpp"
 
 namespace otged {
 namespace telemetry {
-
-namespace {
-std::atomic<bool> g_enabled{true};
-}  // namespace
-
-bool Enabled() { return g_enabled.load(std::memory_order_relaxed); }
-void SetEnabled(bool enabled) {
-  g_enabled.store(enabled, std::memory_order_relaxed);
-}
-
-namespace internal {
-
-// otged-lint: hot-path
-int ThreadStripe() {
-  static std::atomic<unsigned> next{0};
-  thread_local int stripe =
-      static_cast<int>(next.fetch_add(1, std::memory_order_relaxed) %
-                       static_cast<unsigned>(kStripes));
-  return stripe;
-}
-
-}  // namespace internal
 
 // ------------------------------------------------------------- histogram
 
@@ -66,7 +45,7 @@ double HistogramSnapshot::Percentile(double q) const {
   q = std::clamp(q, 0.0, 1.0);
   // Nearest-rank: the smallest bucket whose cumulative count covers
   // ceil(q * count) samples.
-  long rank = static_cast<long>(q * static_cast<double>(count));
+  long rank = static_cast<long>(std::ceil(q * static_cast<double>(count)));
   if (rank < 1) rank = 1;
   long seen = 0;
   for (const auto& [bucket, c] : buckets) {
@@ -81,83 +60,63 @@ long HistogramSnapshot::Max() const {
   return HistogramBuckets::UpperBound(buckets.back().first);
 }
 
-Histogram::Histogram()
-    : buckets_(static_cast<size_t>(internal::kStripes) *
-               HistogramBuckets::kCount) {}
-
 // otged-lint: hot-path
 void Histogram::Record(long value) {
-  const int stripe = internal::ThreadStripe();
-  const int bucket = HistogramBuckets::BucketOf(value);
-  buckets_[static_cast<size_t>(stripe) * HistogramBuckets::kCount + bucket]
-      .fetch_add(1, std::memory_order_relaxed);
-  stripes_[stripe].sum.fetch_add(value < 0 ? 0 : value,
-                                 std::memory_order_relaxed);
-  stripes_[stripe].count.fetch_add(1, std::memory_order_relaxed);
+  buckets_[HistogramBuckets::BucketOf(value)].fetch_add(
+      1, std::memory_order_relaxed);
+  sum_.fetch_add(value < 0 ? 0 : value, std::memory_order_relaxed);
 }
 
 HistogramSnapshot Histogram::Snapshot() const {
   HistogramSnapshot snap;
-  std::vector<long> totals(HistogramBuckets::kCount, 0);
-  for (int s = 0; s < internal::kStripes; ++s) {
-    const size_t base = static_cast<size_t>(s) * HistogramBuckets::kCount;
-    for (int b = 0; b < HistogramBuckets::kCount; ++b)
-      totals[b] += buckets_[base + b].load(std::memory_order_relaxed);
-    snap.sum += stripes_[s].sum.load(std::memory_order_relaxed);
-  }
   for (int b = 0; b < HistogramBuckets::kCount; ++b) {
-    if (totals[b] != 0) {
-      snap.buckets.emplace_back(b, totals[b]);
-      snap.count += totals[b];
+    const long c = buckets_[b].load(std::memory_order_relaxed);
+    if (c != 0) {
+      snap.buckets.emplace_back(b, c);
+      snap.count += c;
     }
   }
+  snap.sum = sum_.load(std::memory_order_relaxed);
   return snap;
 }
 
 void Histogram::Reset() {
   for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-  for (auto& s : stripes_) {
-    s.sum.store(0, std::memory_order_relaxed);
-    s.count.store(0, std::memory_order_relaxed);
-  }
+  sum_.store(0, std::memory_order_relaxed);
 }
 
 // -------------------------------------------------------------- registry
 
+template <typename M>
+M& MetricsRegistry::GetOrAdd(Table<M>& table, const std::string& name,
+                             const std::string& help) {
+  // Only `table` may already hold `name`.
+  OTGED_CHECK_MSG(counters_.count(name) + gauges_.count(name) +
+                          histograms_.count(name) ==
+                      table.count(name),
+                  "metric name registered with a different kind");
+  auto& entry = table[name];
+  if (!entry.metric) entry.metric = std::make_unique<M>();
+  if (entry.help.empty()) entry.help = help;
+  return *entry.metric;
+}
+
 Counter& MetricsRegistry::GetCounter(const std::string& name,
                                      const std::string& help) {
   MutexLock lock(mu_);
-  OTGED_CHECK_MSG(gauges_.find(name) == gauges_.end() &&
-                      histograms_.find(name) == histograms_.end(),
-                  "metric name registered with a different kind");
-  auto& entry = counters_[name];
-  if (!entry.metric) entry.metric = std::make_unique<Counter>();
-  if (entry.help.empty()) entry.help = help;
-  return *entry.metric;
+  return GetOrAdd(counters_, name, help);
 }
 
 Gauge& MetricsRegistry::GetGauge(const std::string& name,
                                  const std::string& help) {
   MutexLock lock(mu_);
-  OTGED_CHECK_MSG(counters_.find(name) == counters_.end() &&
-                      histograms_.find(name) == histograms_.end(),
-                  "metric name registered with a different kind");
-  auto& entry = gauges_[name];
-  if (!entry.metric) entry.metric = std::make_unique<Gauge>();
-  if (entry.help.empty()) entry.help = help;
-  return *entry.metric;
+  return GetOrAdd(gauges_, name, help);
 }
 
 Histogram& MetricsRegistry::GetHistogram(const std::string& name,
                                          const std::string& help) {
   MutexLock lock(mu_);
-  OTGED_CHECK_MSG(counters_.find(name) == counters_.end() &&
-                      gauges_.find(name) == gauges_.end(),
-                  "metric name registered with a different kind");
-  auto& entry = histograms_[name];
-  if (!entry.metric) entry.metric = std::make_unique<Histogram>();
-  if (entry.help.empty()) entry.help = help;
-  return *entry.metric;
+  return GetOrAdd(histograms_, name, help);
 }
 
 MetricsSnapshot MetricsRegistry::Snapshot() const {

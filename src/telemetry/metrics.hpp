@@ -2,32 +2,24 @@
 /// \brief Process-wide lock-free metrics registry for the serving tier.
 ///
 /// Three metric kinds, all safe to update from any thread without taking
-/// a lock on the hot path:
+/// a lock:
 ///
-///   Counter    monotone sum, sharded into cache-line-padded per-thread
-///              atomic cells; Inc is one relaxed fetch_add on the
-///              caller's stripe, so increments from the work-stealing
-///              pool never serialize against each other.
+///   Counter    monotone sum in one atomic; Inc is one relaxed fetch_add.
 ///   Gauge      last-written value (Set) or running signed sum (Add) in
-///              a single atomic — used for levels like queue depth or
-///              the store epoch where sharding has no meaning.
+///              one atomic, for levels like queue depth or the store epoch.
 ///   Histogram  log-linear bucketed distribution (8 sub-buckets per
 ///              power of two => <= 12.5% relative bucket width, exact
-///              below 16), buckets sharded into per-thread stripes like
-///              counters. Record is two relaxed fetch_adds. Percentiles
-///              are estimated from the bucket midpoint at read time.
+///              below 16). Record is two relaxed fetch_adds: the bucket
+///              and the sum. Percentiles are estimated from the bucket
+///              midpoint at read time.
 ///
 /// Metrics are registered by name on first use and never removed, so a
 /// `Counter&` obtained once (typically via a function-local static in an
 /// OTGED_* macro below) stays valid for the process lifetime. Names may
 /// carry Prometheus-style labels inline: `otged_foo_total{tier="exact"}`.
-/// Reading is always available: `Registry().Snapshot()` aggregates every
-/// stripe into plain numbers without stopping writers (counts are
-/// monotone, so a concurrent snapshot is simply a valid slightly-earlier
-/// or slightly-later view).
-///
-/// Cost when off: telemetry::SetEnabled(false) short-circuits the macros
-/// to one relaxed atomic-bool load.
+/// `Registry().Snapshot()` reads every metric into plain numbers without
+/// stopping writers (counts are monotone, so a concurrent snapshot is
+/// simply a valid slightly-earlier or slightly-later view).
 #ifndef OTGED_TELEMETRY_METRICS_HPP_
 #define OTGED_TELEMETRY_METRICS_HPP_
 
@@ -44,11 +36,6 @@
 namespace otged {
 namespace telemetry {
 
-/// Runtime master switch (default on). Flipping it only gates *new*
-/// updates; already-registered metrics keep their values.
-bool Enabled();
-void SetEnabled(bool enabled);
-
 /// Monotonic microsecond clock for latency metrics.
 inline double NowUs() {
   return std::chrono::duration<double, std::micro>(
@@ -56,42 +43,19 @@ inline double NowUs() {
       .count();
 }
 
-namespace internal {
-
-constexpr int kStripes = 16;  ///< per-thread cell stripes per metric
-
-/// Stable stripe for the calling thread (round-robin assignment).
-int ThreadStripe();
-
-struct alignas(64) PaddedAtomic {
-  std::atomic<long> v{0};
-};
-
-}  // namespace internal
-
 /// Monotone counter; Inc is wait-free (one relaxed fetch_add).
 class Counter {
  public:
   // otged-lint: hot-path
-  void Inc(long n = 1) {
-    cells_[internal::ThreadStripe()].v.fetch_add(n,
-                                                 std::memory_order_relaxed);
-  }
-  long Value() const {
-    long total = 0;
-    for (const auto& c : cells_) total += c.v.load(std::memory_order_relaxed);
-    return total;
-  }
-  void Reset() {
-    for (auto& c : cells_) c.v.store(0, std::memory_order_relaxed);
-  }
+  void Inc(long n = 1) { value_.fetch_add(n, std::memory_order_relaxed); }
+  long Value() const { return value_.load(std::memory_order_relaxed); }
+  void Reset() { value_.store(0, std::memory_order_relaxed); }
 
  private:
-  internal::PaddedAtomic cells_[internal::kStripes];
+  std::atomic<long> value_{0};
 };
 
-/// Level metric: Set publishes an absolute value, Add adjusts it (both on
-/// one atomic — gauges track shared levels, not per-thread sums).
+/// Level metric: Set publishes an absolute value, Add adjusts it.
 class Gauge {
  public:
   // otged-lint: hot-path
@@ -140,24 +104,17 @@ struct HistogramSnapshot {
   long Max() const;
 };
 
-/// Distribution metric; Record is wait-free (two relaxed fetch_adds on
-/// the caller's stripe).
+/// Distribution metric; Record is wait-free (two relaxed fetch_adds).
+/// The sample count is the sum of the buckets.
 class Histogram {
  public:
-  Histogram();
   void Record(long value);
   HistogramSnapshot Snapshot() const;
   void Reset();
 
  private:
-  struct alignas(64) Stripe {
-    std::atomic<long> sum{0};
-    std::atomic<long> count{0};
-  };
-  // buckets_[stripe * kCount + bucket]; flat so one allocation serves all
-  // stripes and aggregation is a linear sweep.
-  std::vector<std::atomic<uint32_t>> buckets_;
-  Stripe stripes_[internal::kStripes];
+  std::atomic<long> buckets_[HistogramBuckets::kCount] = {};
+  std::atomic<long> sum_{0};
 };
 
 struct MetricsSnapshot {
@@ -184,6 +141,7 @@ struct MetricsSnapshot {
 /// Returned references are stable for the registry's lifetime.
 class MetricsRegistry {
  public:
+  /// Each aborts when `name` is already registered as another kind.
   Counter& GetCounter(const std::string& name, const std::string& help = "")
       EXCLUDES(mu_);
   Gauge& GetGauge(const std::string& name, const std::string& help = "")
@@ -205,11 +163,18 @@ class MetricsRegistry {
     std::unique_ptr<M> metric;
     std::string help;
   };
+  template <typename M>
+  using Table = std::map<std::string, Entry<M>>;
+
+  /// The metric `name` in `table`, created on first use.
+  template <typename M>
+  M& GetOrAdd(Table<M>& table, const std::string& name,
+              const std::string& help) REQUIRES(mu_);
 
   mutable Mutex mu_;
-  std::map<std::string, Entry<Counter>> counters_ GUARDED_BY(mu_);
-  std::map<std::string, Entry<Gauge>> gauges_ GUARDED_BY(mu_);
-  std::map<std::string, Entry<Histogram>> histograms_ GUARDED_BY(mu_);
+  Table<Counter> counters_ GUARDED_BY(mu_);
+  Table<Gauge> gauges_ GUARDED_BY(mu_);
+  Table<Histogram> histograms_ GUARDED_BY(mu_);
 };
 
 /// The process-wide registry every OTGED_* macro records into.
@@ -223,38 +188,30 @@ MetricsRegistry& Registry();
 // call site, so each site records under the one name it first saw.
 #define OTGED_COUNT_N(name, help, n)                                      \
   do {                                                                    \
-    if (::otged::telemetry::Enabled()) {                                  \
-      static ::otged::telemetry::Counter& otged_counter_ =                \
-          ::otged::telemetry::Registry().GetCounter((name), (help));      \
-      otged_counter_.Inc(n);                                              \
-    }                                                                     \
+    static ::otged::telemetry::Counter& otged_counter_ =                  \
+        ::otged::telemetry::Registry().GetCounter((name), (help));        \
+    otged_counter_.Inc(n);                                                \
   } while (0)
 
 #define OTGED_GAUGE_SET(name, help, v)                                    \
   do {                                                                    \
-    if (::otged::telemetry::Enabled()) {                                  \
-      static ::otged::telemetry::Gauge& otged_gauge_ =                    \
-          ::otged::telemetry::Registry().GetGauge((name), (help));        \
-      otged_gauge_.Set(v);                                                \
-    }                                                                     \
+    static ::otged::telemetry::Gauge& otged_gauge_ =                      \
+        ::otged::telemetry::Registry().GetGauge((name), (help));          \
+    otged_gauge_.Set(v);                                                  \
   } while (0)
 
 #define OTGED_GAUGE_ADD(name, help, n)                                    \
   do {                                                                    \
-    if (::otged::telemetry::Enabled()) {                                  \
-      static ::otged::telemetry::Gauge& otged_gauge_ =                    \
-          ::otged::telemetry::Registry().GetGauge((name), (help));        \
-      otged_gauge_.Add(n);                                                \
-    }                                                                     \
+    static ::otged::telemetry::Gauge& otged_gauge_ =                      \
+        ::otged::telemetry::Registry().GetGauge((name), (help));          \
+    otged_gauge_.Add(n);                                                  \
   } while (0)
 
 #define OTGED_HIST_RECORD(name, help, value)                              \
   do {                                                                    \
-    if (::otged::telemetry::Enabled()) {                                  \
-      static ::otged::telemetry::Histogram& otged_hist_ =                 \
-          ::otged::telemetry::Registry().GetHistogram((name), (help));    \
-      otged_hist_.Record(value);                                          \
-    }                                                                     \
+    static ::otged::telemetry::Histogram& otged_hist_ =                   \
+        ::otged::telemetry::Registry().GetHistogram((name), (help));      \
+    otged_hist_.Record(value);                                            \
   } while (0)
 
 #define OTGED_COUNT(name, help) OTGED_COUNT_N(name, help, 1)

@@ -246,7 +246,6 @@ TEST(ExactBudgetTest, StarvedEngineKeepsEveryTrueHitAndReconciles) {
   const RangeResult truth = truth_engine.Range(query, kTau);
   ASSERT_EQ(truth.stats.cascade.exact_incomplete, 0);
 
-  telemetry::SetEnabled(true);
   const telemetry::MetricsSnapshot before =
       telemetry::Registry().Snapshot();
   const RangeResult got = starved_engine.Range(query, kTau);

@@ -1,9 +1,10 @@
 /// \file telemetry_test.cpp
-/// \brief Telemetry subsystem: sharded counters under thread hammering,
-/// log-linear histogram bucket geometry and percentile accuracy, registry
-/// snapshot/reset, the TraceSink ring, exporter output — and end-to-end
-/// reconciliation: the global cascade counters must agree exactly with
-/// the per-query CascadeStats the engine returns on a randomized corpus.
+/// \brief Telemetry subsystem: counters under thread hammering, log-linear
+/// histogram bucket geometry and percentile accuracy, registry
+/// snapshot/reset and kind checks, the TraceSink ring, exporter output —
+/// and end-to-end reconciliation: the global cascade counters must agree
+/// exactly with the per-query CascadeStats the engine returns on a
+/// randomized corpus.
 /// The concurrency tests are written to be clean under ThreadSanitizer.
 #include <gtest/gtest.h>
 
@@ -97,6 +98,21 @@ TEST(TelemetryHistogramTest, PercentilesWithinBucketTolerance) {
   EXPECT_EQ(hist.Snapshot().Percentile(0.5), 0.0);
 }
 
+TEST(TelemetryHistogramTest, NearestRankPercentilesAreExactBelow16) {
+  // Values below 16 have one bucket each, so a percentile is the sample
+  // of nearest rank ceil(q * count), as in telemetry::PercentileOf.
+  telemetry::Histogram one_to_ten;
+  for (long v = 1; v <= 10; ++v) one_to_ten.Record(v);
+  EXPECT_EQ(one_to_ten.Snapshot().Percentile(0.99), 10.0);
+  EXPECT_EQ(one_to_ten.Snapshot().Percentile(0.5), 5.0);
+  EXPECT_EQ(one_to_ten.Snapshot().Percentile(0.0), 1.0);
+
+  telemetry::Histogram three;
+  for (long v : {1, 2, 3}) three.Record(v);
+  EXPECT_EQ(three.Snapshot().Percentile(0.5), 2.0);
+  EXPECT_EQ(three.Snapshot().Percentile(1.0), 3.0);
+}
+
 TEST(TelemetryHistogramTest, ConcurrentRecordsKeepExactCountAndSum) {
   telemetry::Histogram hist;
   constexpr int kThreads = 8;
@@ -156,6 +172,20 @@ TEST(TelemetryRegistryTest, SnapshotAndReset) {
   EXPECT_EQ(h.Snapshot().count, 0);
   c.Inc(3);
   EXPECT_EQ(reg.Snapshot().CounterValue("test_registry_counter"), 3);
+}
+
+TEST(TelemetryRegistryTest, NameOfAnotherKindAborts) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  telemetry::MetricsRegistry reg;  // keeps the global registry clean
+  reg.GetCounter("kind_counter");
+  reg.GetGauge("kind_gauge");
+  reg.GetHistogram("kind_hist");
+  EXPECT_DEATH(reg.GetGauge("kind_counter"), "different kind");
+  EXPECT_DEATH(reg.GetHistogram("kind_counter"), "different kind");
+  EXPECT_DEATH(reg.GetCounter("kind_gauge"), "different kind");
+  EXPECT_DEATH(reg.GetHistogram("kind_gauge"), "different kind");
+  EXPECT_DEATH(reg.GetCounter("kind_hist"), "different kind");
+  EXPECT_DEATH(reg.GetGauge("kind_hist"), "different kind");
 }
 
 TEST(TelemetryTraceTest, RingOverwritesOldestAndCountsDrops) {
@@ -303,7 +333,6 @@ long HistogramCount(const telemetry::MetricsSnapshot& snap,
 }
 
 TEST(TelemetryEndToEndTest, CascadeCountersReconcileWithQueryStats) {
-  telemetry::SetEnabled(true);
   Rng rng(1234);
   GraphStore store;
   std::vector<Graph> graphs;
@@ -339,10 +368,9 @@ TEST(TelemetryEndToEndTest, CascadeCountersReconcileWithQueryStats) {
 TEST(TelemetryEndToEndTest, RepeatedBatchQueryIsCountedOnce) {
   // A batch evaluates a repeated query once and copies its result, so the
   // counters move by the stats of the distinct queries only.
-  telemetry::SetEnabled(true);
   Rng rng(4321);
   GraphStore store;
-  for (int i = 0; i < 50; ++i) store.Add(AidsLikeGraph(&rng, 4, 10));
+  for (int i = 0; i < 50; ++i) store.Insert(AidsLikeGraph(&rng, 4, 10));
   EngineOptions opt;
   opt.num_threads = 2;
   QueryEngine engine(&store, opt);
@@ -367,10 +395,9 @@ TEST(TelemetryEndToEndTest, RepeatedBatchQueryIsCountedOnce) {
 TEST(TelemetryEndToEndTest, IndexLevelLatencyIsOneSamplePerQuery) {
   // Top-k runs index level 3 twice (seeds, then the LB-range cut), yet
   // the per-query histogram must take one vptree sample per query.
-  telemetry::SetEnabled(true);
   Rng rng(99);
   GraphStore store;
-  for (int i = 0; i < 60; ++i) store.Add(AidsLikeGraph(&rng, 4, 10));
+  for (int i = 0; i < 60; ++i) store.Insert(AidsLikeGraph(&rng, 4, 10));
   EngineOptions opt;
   opt.num_threads = 2;
   QueryEngine engine(&store, opt);
@@ -394,7 +421,6 @@ TEST(TelemetryEndToEndTest, IndexLevelLatencyIsOneSamplePerQuery) {
 }
 
 TEST(TelemetryEndToEndTest, TraceEventsMatchCandidateDecisions) {
-  telemetry::SetEnabled(true);
   telemetry::TraceSink& sink = telemetry::GlobalTrace();
   sink.SetCapacity(1 << 16);
   sink.Clear();
@@ -402,7 +428,7 @@ TEST(TelemetryEndToEndTest, TraceEventsMatchCandidateDecisions) {
 
   Rng rng(77);
   GraphStore store;
-  for (int i = 0; i < 40; ++i) store.Add(AidsLikeGraph(&rng, 4, 9));
+  for (int i = 0; i < 40; ++i) store.Insert(AidsLikeGraph(&rng, 4, 9));
   QueryEngine engine(&store, {});
   std::vector<Graph> queries;
   for (int q = 0; q < 3; ++q) queries.push_back(AidsLikeGraph(&rng, 4, 9));
@@ -446,12 +472,11 @@ TEST(TelemetryEndToEndTest, TraceEventsMatchCandidateDecisions) {
   EXPECT_EQ(by_tier[5], total.cache_hits);
 }
 
-// Per-query wall times and trace ids are first-class QueryStats fields,
-// populated whether or not telemetry is enabled.
+// Per-query wall times and trace ids are first-class QueryStats fields.
 TEST(TelemetryEndToEndTest, BatchQueriesReportIndividualWallTimes) {
   Rng rng(55);
   GraphStore store;
-  for (int i = 0; i < 50; ++i) store.Add(AidsLikeGraph(&rng, 4, 10));
+  for (int i = 0; i < 50; ++i) store.Insert(AidsLikeGraph(&rng, 4, 10));
   EngineOptions opt;
   opt.num_threads = 4;
   QueryEngine engine(&store, opt);
